@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from time import perf_counter
@@ -74,7 +73,7 @@ def _normalize_le(coeffs: Dict[int, int], const: int) -> Tuple[Dict[int, int], i
         g = math.gcd(g, abs(c))
     if g > 1:
         nonzero = {v: c // g for v, c in nonzero.items()}
-        const = math.floor(Fraction(const, g))
+        const //= g
     return nonzero, const
 
 
@@ -213,23 +212,23 @@ class LiaSolver:
         def slack_for(coeffs: Tuple[Tuple[int, int], ...]) -> int:
             s = form_slack.get(coeffs)
             if s is None:
-                s = sx.add_row({var_map[v]: Fraction(c) for v, c in coeffs})
+                s = sx.add_row({var_map[v]: c for v, c in coeffs})
                 form_slack[coeffs] = s
             return s
 
         conflict: Optional[List[object]] = None
         for con in self._les:
             s = slack_for(con.coeffs)
-            conflict = sx.assert_upper(s, Fraction(con.const), con.tag)
+            conflict = sx.assert_upper(s, con.const, con.tag)
             if conflict:
                 break
         if conflict is None:
             for con in self._eqs:
                 s = slack_for(con.coeffs)
-                conflict = sx.assert_upper(s, Fraction(con.const), con.tag)
+                conflict = sx.assert_upper(s, con.const, con.tag)
                 if conflict:
                     break
-                conflict = sx.assert_lower(s, Fraction(con.const), con.tag)
+                conflict = sx.assert_lower(s, con.const, con.tag)
                 if conflict:
                     break
         if conflict:
@@ -279,7 +278,7 @@ class LiaSolver:
         for i, sv in enumerate(var_map):
             val = res.model[sv]
             if val.denominator != 1:
-                floor_v = Fraction(math.floor(val))
+                floor_v = math.floor(val)
                 branch_tag = ("branch-int", self._names[i])
                 return self._split(
                     sx, var_map, diseq_slacks, budget, depth,
@@ -301,11 +300,9 @@ class LiaSolver:
                 ok = True
                 for sv, con in violated:
                     tag = ("branch-diseq", con.tag)
-                    conflict = sx.assert_upper(sv, Fraction(con.const - 1), tag)
+                    conflict = sx.assert_upper(sv, con.const - 1, tag)
                     if conflict is not None:
-                        conflict = sx.assert_lower(
-                            sv, Fraction(con.const + 1), tag
-                        )
+                        conflict = sx.assert_lower(sv, con.const + 1, tag)
                         if conflict is not None:
                             ok = False
                             break
@@ -320,7 +317,7 @@ class LiaSolver:
             branch_tag = ("branch-diseq", con.tag)
             return self._split(
                 sx, var_map, diseq_slacks, budget, depth,
-                sv, Fraction(con.const - 1), Fraction(con.const + 1),
+                sv, con.const - 1, con.const + 1,
                 branch_tag,
                 extra_core=[con.tag] if con.tag is not None else [],
             )
@@ -336,8 +333,8 @@ class LiaSolver:
         budget: List[int],
         depth: int,
         split_var: int,
-        upper_val: Fraction,
-        lower_val: Fraction,
+        upper_val: int,
+        lower_val: int,
         branch_tag: object,
         extra_core: List[object],
     ) -> LiaResult:

@@ -47,24 +47,18 @@ from ..obs.metrics import default_registry
 from .budget import current_budget
 from .cnf import CnfConverter
 from .sat import SatSolver
-from .smt import CheckResult, Model, check_theory
+from .smt import CheckResult, Model, check_theory, is_ground
 from .terms import FunctionSymbol, Kind, Sort, Term, TermManager
 
 __all__ = ["SolverSession", "PrefixSession"]
 
 
-def _theory_atoms(term: Term) -> Set[Term]:
-    """Theory atoms of ``term`` as the CNF encoder would register them."""
-    out: Set[Term] = set()
-    for t in term.iter_dag():
-        if not t.is_atom:
-            continue
-        if t.kind in (Kind.VAR, Kind.CONST_BOOL):
-            continue
-        if t.kind is Kind.EQ and t.args[0].sort is Sort.BOOL:
-            continue  # boolean iff, handled propositionally
-        out.add(t)
-    return out
+def _is_theory_atom(t: Term) -> bool:
+    """True for a theory atom as the CNF encoder would register it."""
+    if not t.is_atom or t.kind in (Kind.VAR, Kind.CONST_BOOL):
+        return False
+    # a boolean EQ is an iff, handled propositionally
+    return not (t.kind is Kind.EQ and t.args[0].sort is Sort.BOOL)
 
 
 class _Frame:
@@ -72,20 +66,20 @@ class _Frame:
 
     ``act`` is the frame's activation literal (0 for the unguarded base
     frame).  ``original`` keeps the formulas as asserted (for model
-    verification), ``flat`` their ITE-free rewrites (for model variable
-    collection), ``atoms`` / ``apps`` what this frame contributes to the
-    *live* sets consulted by the lazy theory loop, and ``ite_keys`` /
-    ``app_keys`` which session-cache entries this frame owns — evicted when
-    the frame is popped so a reappearing subterm is re-registered against a
-    live definition.
+    verification), ``int_vars`` the named Int variables of their ITE-free
+    rewrites in walk order (for model construction), ``atoms`` / ``apps``
+    what this frame contributes to the *live* sets consulted by the lazy
+    theory loop, and ``ite_keys`` / ``app_keys`` which session-cache
+    entries this frame owns — evicted when the frame is popped so a
+    reappearing subterm is re-registered against a live definition.
     """
 
-    __slots__ = ("act", "original", "flat", "atoms", "apps", "ite_keys", "app_keys")
+    __slots__ = ("act", "original", "int_vars", "atoms", "apps", "ite_keys", "app_keys")
 
     def __init__(self, act: int) -> None:
         self.act = act
         self.original: List[Term] = []
-        self.flat: List[Term] = []
+        self.int_vars: List[Term] = []
         self.atoms: Set[Term] = set()
         self.apps: Set[Term] = set()
         self.ite_keys: List[Term] = []
@@ -139,6 +133,10 @@ class SolverSession:
         self._app_mapping: Dict[Term, Term] = {}
         self._app_args: Dict[Term, Tuple[Term, ...]] = {}
         self._apps_by_fn: Dict[FunctionSymbol, List[Term]] = {}
+        # the subsequence of _apps_by_fn whose rewritten arguments are not
+        # all constants: the only peers a ground application must be paired
+        # with (see _ackermannize)
+        self._open_apps_by_fn: Dict[FunctionSymbol, List[Term]] = {}
         self.last_iterations = 0
         self.pushes = 0
         self.pops = 0
@@ -175,11 +173,13 @@ class SolverSession:
             self._ite_cache.pop(key, None)
         for app in frame.app_keys:
             self._app_mapping.pop(app, None)
-            self._app_args.pop(app, None)
+            args = self._app_args.pop(app, None)
             assert app.fn is not None
             peers = self._apps_by_fn.get(app.fn)
             if peers is not None:
                 peers.remove(app)
+            if args is not None and not is_ground(args):
+                self._open_apps_by_fn[app.fn].remove(app)
 
     def assert_term(self, *formulas: Term) -> None:
         """Assert formulas into the innermost scope (or the base frame)."""
@@ -210,11 +210,23 @@ class SolverSession:
         rewritten, sides = self._eliminate_ites(frame, formula)
         for side in sides:
             self._assert_into(frame, side)
-        pure = self._ackermannize(frame, rewritten)
+        # One walk of the rewritten formula serves the Ackermann registration,
+        # the frame's live apps and model variables, and -- when there are no
+        # applications, so Ackermannization leaves it unchanged -- its atoms.
+        nodes = list(rewritten.iter_dag())
+        apps = [t for t in nodes if t.is_app]
+        if apps:
+            pure = self._ackermannize(frame, rewritten, apps)
+            frame.atoms.update(t for t in pure.iter_dag() if _is_theory_atom(t))
+        else:
+            pure = rewritten
+            frame.atoms.update(t for t in nodes if _is_theory_atom(t))
+        # recorded after the Ackermann constraints asserted above, as before
         frame.original.append(formula)
-        frame.flat.append(rewritten)
-        frame.atoms |= _theory_atoms(pure)
-        frame.apps |= {t for t in rewritten.iter_dag() if t.is_app}
+        frame.int_vars.extend(
+            t for t in nodes if t.is_var and t.sort is Sort.INT and t.name is not None
+        )
+        frame.apps.update(apps)
         return self._cnf.literal_for(pure)
 
     def _eliminate_ites(self, frame: _Frame, term: Term) -> Tuple[Term, List[Term]]:
@@ -253,25 +265,32 @@ class SolverSession:
 
         return walk(term), sides
 
-    def _ackermannize(self, frame: _Frame, term: Term) -> Term:
+    def _ackermannize(self, frame: _Frame, term: Term, apps: List[Term]) -> Term:
         """Register new UF applications incrementally and purify ``term``.
 
-        New applications get fresh variables plus functional-consistency
-        constraints against every live application of the same symbol; the
-        constraints are owned by ``frame`` (the newer of the two frames
-        involved in any pair), so they die no earlier than either endpoint.
+        ``apps`` are the UF applications occurring in ``term``.  New ones
+        get fresh variables plus functional-consistency constraints against
+        every live application of the same symbol; the constraints are owned
+        by ``frame`` (the newer of the two frames involved in any pair), so
+        they die no earlier than either endpoint.
         """
         tm = self.tm
-        apps = sorted(
-            (t for t in term.iter_dag() if t.is_app and t not in self._app_mapping),
-            key=lambda t: t.tid,
-        )
+        mapping = self._app_mapping
         constraints: List[Term] = []
-        for app in apps:
-            assert app.fn is not None
-            new_args = tuple(tm.substitute(a, self._app_mapping) for a in app.args)
-            var = tm.fresh_var(f"_app_{app.fn.name}_")
-            for other in self._apps_by_fn.get(app.fn, []):
+        for app in sorted((t for t in apps if t not in mapping), key=lambda t: t.tid):
+            fn = app.fn
+            assert fn is not None
+            new_args = tuple(
+                a if a.is_const else tm.substitute(a, mapping) for a in app.args
+            )
+            var = tm.fresh_var(f"_app_{fn.name}_")
+            ground = is_ground(new_args)
+            # Two ground applications of one symbol differ in some constant
+            # argument (hash-consing makes equal arguments the same term), so
+            # their constraint is vacuous; a ground application is therefore
+            # paired only with the non-ground ones, in the same order.
+            peers = self._open_apps_by_fn if ground else self._apps_by_fn
+            for other in peers.get(fn, ()):
                 other_args = self._app_args[other]
                 if any(
                     x is not y and x.is_const and y.is_const
@@ -279,24 +298,23 @@ class SolverSession:
                 ):
                     # Distinct constants in some position: the antecedent of
                     # the consistency implication folds to false, so the
-                    # constraint is vacuously true.  Sample antecedents pair
-                    # mostly constant-argument applications, making this the
-                    # common case by far.
+                    # constraint is vacuously true.
                     continue
                 arg_eqs = [tm.mk_eq(x, y) for x, y in zip(new_args, other_args)]
                 constraints.append(
                     tm.mk_implies(
-                        tm.mk_and(*arg_eqs),
-                        tm.mk_eq(var, self._app_mapping[other]),
+                        tm.mk_and(*arg_eqs), tm.mk_eq(var, mapping[other])
                     )
                 )
-            self._app_mapping[app] = var
+            mapping[app] = var
             self._app_args[app] = new_args
-            self._apps_by_fn.setdefault(app.fn, []).append(app)
+            self._apps_by_fn.setdefault(fn, []).append(app)
+            if not ground:
+                self._open_apps_by_fn.setdefault(fn, []).append(app)
             frame.app_keys.append(app)
         for c in constraints:
             self._assert_into(frame, c)
-        return tm.substitute(term, self._app_mapping)
+        return tm.substitute(term, mapping)
 
     # -- solving ----------------------------------------------------------------
 
@@ -360,12 +378,12 @@ class SolverSession:
         assumptions = [f.act for f in live if f.act]
         live_atoms: Set[Term] = set()
         live_apps: Set[Term] = set()
-        flat: List[Term] = []
+        int_vars: List[Term] = []
         originals: List[Term] = []
         for f in live:
             live_atoms |= f.atoms
             live_apps |= f.apps
-            flat.extend(f.flat)
+            int_vars.extend(f.int_vars)
             originals.extend(f.original)
 
         iterations = 0
@@ -392,7 +410,7 @@ class SolverSession:
             ok, core, int_model = check_theory(self.tm, theory_lits)
             if ok:
                 model = self._build_model(
-                    sat_result.model, int_model, live_apps, flat, originals
+                    sat_result.model, int_model, live_apps, int_vars, originals
                 )
                 self.last_iterations = iterations
                 return CheckResult(sat=True, model=model, iterations=iterations)
@@ -414,16 +432,14 @@ class SolverSession:
         sat_model: Dict[int, bool],
         int_model: Dict[str, int],
         live_apps: Set[Term],
-        flat: List[Term],
+        int_vars: List[Term],
         originals: List[Term],
     ) -> Model:
         from .evalmodel import evaluate  # local import to avoid a cycle
 
         model = Model()
-        for f in flat:
-            for t in f.iter_dag():
-                if t.is_var and t.sort is Sort.INT and t.name is not None:
-                    model.ints.setdefault(t.name, int_model.get(t.name, 0))
+        for var in int_vars:
+            model.ints.setdefault(var.name, int_model.get(var.name, 0))
         for name, value in int_model.items():
             model.ints.setdefault(name, value)
         for atom, svar in self._cnf.atoms.items():

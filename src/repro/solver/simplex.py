@@ -12,18 +12,42 @@ for DPLL(T)" (Dutertre & de Moura, CAV 2006):
 - asserting a constraint only adjusts variable bounds,
 - a Bland-rule pivoting loop restores feasibility or yields a conflict.
 
-All arithmetic is exact (:class:`fractions.Fraction`).
+All arithmetic is exact and integer-first: tableau coefficients,
+assignments and bounds are Python ``int`` wherever they are integral, and a
+value becomes a :class:`fractions.Fraction` only when a quotient is not
+integral (a Fraction that reduces to a whole number is stored as that
+``int``).  Every comparison therefore sees exactly the value a
+Fraction-only tableau would hold, so Bland's rule picks the same pivots;
+``int`` arithmetic only skips Fraction's gcd normalization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
-from ..errors import ResourceLimitError, SolverError
+from ..errors import ResourceLimitError
 
 __all__ = ["Simplex", "SimplexResult"]
+
+#: An exact rational: ``int`` when integral, otherwise a non-integral Fraction.
+Number = Union[int, Fraction]
+
+
+def _exact(value: Number) -> Number:
+    """``value`` as an ``int`` when it is integral, else unchanged."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def _quotient(num: Number, den: Number) -> Number:
+    """Exact ``num / den``, an ``int`` whenever the quotient is integral."""
+    if type(num) is int and type(den) is int:
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+    return _exact(num / den)
 
 
 @dataclass
@@ -31,8 +55,8 @@ class SimplexResult:
     """Outcome of a :meth:`Simplex.check` call."""
 
     sat: bool
-    #: Variable assignment (rational) when satisfiable.
-    model: Dict[int, Fraction] = field(default_factory=dict)
+    #: Variable assignment (exact rationals, ``int`` when integral) when SAT.
+    model: Dict[int, Number] = field(default_factory=dict)
     #: Tags of asserted bounds forming an infeasible subset when UNSAT.
     core: List[object] = field(default_factory=list)
 
@@ -44,18 +68,19 @@ class Simplex:
     added with :meth:`add_row`, defining a fresh *slack* variable equal to a
     linear combination of existing variables.  Constraints are asserted as
     upper/lower bounds on any variable; each carries an opaque tag used in
-    conflict explanations.
+    conflict explanations.  Coefficients and bounds may be ``int`` or
+    :class:`~fractions.Fraction`; integral values are stored as ``int``.
     """
 
     def __init__(self, max_pivots: int = 100_000) -> None:
         self._n = 0
-        self._beta: List[Fraction] = []
-        self._lower: List[Optional[Fraction]] = []
-        self._upper: List[Optional[Fraction]] = []
+        self._beta: List[Number] = []
+        self._lower: List[Optional[Number]] = []
+        self._upper: List[Optional[Number]] = []
         self._lower_tag: List[object] = []
         self._upper_tag: List[object] = []
         # tableau: basic var -> {nonbasic var: coefficient}
-        self._rows: Dict[int, Dict[int, Fraction]] = {}
+        self._rows: Dict[int, Dict[int, Number]] = {}
         self._basic: Set[int] = set()
         # column index: nonbasic var -> set of basic vars whose row mentions it
         self._col: Dict[int, Set[int]] = {}
@@ -68,7 +93,7 @@ class Simplex:
         """Allocate a fresh unbounded variable with value 0."""
         idx = self._n
         self._n += 1
-        self._beta.append(Fraction(0))
+        self._beta.append(0)
         self._lower.append(None)
         self._upper.append(None)
         self._lower_tag.append(None)
@@ -76,7 +101,7 @@ class Simplex:
         self._col[idx] = set()
         return idx
 
-    def add_row(self, coeffs: Dict[int, Fraction]) -> int:
+    def add_row(self, coeffs: Dict[int, Number]) -> int:
         """Define a slack variable ``s = sum(coeffs)`` and return its index.
 
         The linear form is expressed over currently *nonbasic or basic*
@@ -84,29 +109,28 @@ class Simplex:
         tableau stays in canonical form.
         """
         slack = self.new_var()
-        row: Dict[int, Fraction] = {}
+        row: Dict[int, Number] = {}
         for var, coeff in coeffs.items():
             if coeff == 0:
                 continue
             if var in self._basic:
                 for v2, c2 in self._rows[var].items():
-                    row[v2] = row.get(v2, Fraction(0)) + coeff * c2
+                    row[v2] = _exact(row.get(v2, 0) + coeff * c2)
             else:
-                row[var] = row.get(var, Fraction(0)) + coeff
+                row[var] = _exact(row.get(var, 0) + coeff)
         row = {v: c for v, c in row.items() if c != 0}
         self._rows[slack] = row
         self._basic.add(slack)
         for v in row:
             self._col[v].add(slack)
-        self._beta[slack] = sum(
-            (c * self._beta[v] for v, c in row.items()), Fraction(0)
-        )
+        self._beta[slack] = _exact(sum(c * self._beta[v] for v, c in row.items()))
         return slack
 
     # -- bound assertion -----------------------------------------------------
 
-    def assert_upper(self, var: int, bound: Fraction, tag: object) -> Optional[List[object]]:
+    def assert_upper(self, var: int, bound: Number, tag: object) -> Optional[List[object]]:
         """Assert ``var <= bound``; returns a conflict core or None."""
+        bound = _exact(bound)
         lo = self._lower[var]
         if lo is not None and bound < lo:
             return [self._lower_tag[var], tag]
@@ -119,8 +143,9 @@ class Simplex:
             self._update(var, bound)
         return None
 
-    def assert_lower(self, var: int, bound: Fraction, tag: object) -> Optional[List[object]]:
+    def assert_lower(self, var: int, bound: Number, tag: object) -> Optional[List[object]]:
         """Assert ``var >= bound``; returns a conflict core or None."""
+        bound = _exact(bound)
         up = self._upper[var]
         if up is not None and bound > up:
             return [self._upper_tag[var], tag]
@@ -153,24 +178,24 @@ class Simplex:
 
     # -- feasibility ----------------------------------------------------------
 
-    def _update(self, var: int, value: Fraction) -> None:
+    def _update(self, var: int, value: Number) -> None:
         delta = value - self._beta[var]
         if delta == 0:
             return
+        beta = self._beta
         for basic in self._col.get(var, ()):  # basic rows using var
-            self._beta[basic] += self._rows[basic][var] * delta
-        self._beta[var] = value
+            beta[basic] = _exact(beta[basic] + self._rows[basic][var] * delta)
+        beta[var] = value
 
-    def _pivot_and_update(self, xi: int, xj: int, value: Fraction) -> None:
+    def _pivot_and_update(self, xi: int, xj: int, value: Number) -> None:
         """Pivot basic xi with nonbasic xj, then set xi's value to ``value``."""
-        row = self._rows[xi]
-        a_ij = row[xj]
-        theta = (value - self._beta[xi]) / a_ij
-        self._beta[xi] = value
-        self._beta[xj] += theta
-        for basic in list(self._col.get(xj, ())):
-            if basic is not xi and basic != xi:
-                self._beta[basic] += self._rows[basic][xj] * theta
+        beta = self._beta
+        theta = _quotient(value - beta[xi], self._rows[xi][xj])
+        beta[xi] = value
+        beta[xj] = _exact(beta[xj] + theta)
+        for basic in self._col.get(xj, ()):
+            if basic != xi:
+                beta[basic] = _exact(beta[basic] + self._rows[basic][xj] * theta)
         self._pivot(xi, xj)
 
     def _pivot(self, xi: int, xj: int) -> None:
@@ -178,36 +203,36 @@ class Simplex:
         row = self._rows.pop(xi)
         self._basic.discard(xi)
         a_ij = row.pop(xj)
+        col = self._col
         for v in row:
-            self._col[v].discard(xi)
-        self._col[xj].discard(xi)
+            col[v].discard(xi)
+        col[xj].discard(xi)
         # xj = (xi - sum_{v != j} a_v v) / a_ij
-        new_row: Dict[int, Fraction] = {xi: Fraction(1) / a_ij}
+        new_row: Dict[int, Number] = {xi: _quotient(1, a_ij)}
         for v, c in row.items():
-            new_row[v] = -c / a_ij
+            new_row[v] = _quotient(-c, a_ij)
         self._rows[xj] = new_row
         self._basic.add(xj)
         for v in new_row:
-            self._col.setdefault(v, set()).add(xj)
+            col.setdefault(v, set()).add(xj)
         # substitute xj in all other rows
-        for basic in list(self._col.get(xj, ())):
+        for basic in list(col.get(xj, ())):
             if basic == xj:
                 continue
             brow = self._rows[basic]
             coeff = brow.pop(xj, None)
             if coeff is None:
                 continue
-            self._col[xj].discard(basic)
+            col[xj].discard(basic)
             for v, c in new_row.items():
-                old = brow.get(v, Fraction(0))
-                new = old + coeff * c
+                new = _exact(brow.get(v, 0) + coeff * c)
                 if new == 0:
                     if v in brow:
                         del brow[v]
-                        self._col[v].discard(basic)
+                        col[v].discard(basic)
                 else:
                     brow[v] = new
-                    self._col[v].add(basic)
+                    col[v].add(basic)
 
     def check(self) -> SimplexResult:
         """Restore feasibility w.r.t. all bounds, or report a conflict."""
@@ -275,10 +300,10 @@ class Simplex:
 
     # -- introspection ----------------------------------------------------------
 
-    def value(self, var: int) -> Fraction:
+    def value(self, var: int) -> Number:
         """Current assignment of ``var``."""
         return self._beta[var]
 
-    def bounds(self, var: int) -> Tuple[Optional[Fraction], Optional[Fraction]]:
+    def bounds(self, var: int) -> Tuple[Optional[Number], Optional[Number]]:
         """Current (lower, upper) bounds of ``var``."""
         return self._lower[var], self._upper[var]

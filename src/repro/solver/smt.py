@@ -24,7 +24,6 @@ of a silently wrong test input.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -176,27 +175,44 @@ def ackermannize(
         assert app.fn is not None
         by_fn.setdefault(app.fn, []).append(app)
     for fn, fn_apps in by_fn.items():
-        for a1, a2 in itertools.combinations(fn_apps, 2):
-            args1, args2 = rewritten_args[a1], rewritten_args[a2]
-            if any(
-                x is not y and x.is_const and y.is_const
-                for x, y in zip(args1, args2)
-            ):
-                # Some argument position holds two distinct constants, so the
-                # implication's antecedent folds to false and the constraint
-                # is vacuously true — skip building it.  Recorded samples
-                # apply functions to concrete points, so almost every pair is
-                # of this shape.
-                continue
-            arg_eqs = [tm.mk_eq(x, y) for x, y in zip(args1, args2)]
-            constraints.append(
-                tm.mk_implies(
-                    tm.mk_and(*arg_eqs), tm.mk_eq(app_to_var[a1], app_to_var[a2])
+        # Two ground applications (all arguments constant) always differ in
+        # some constant, so a ground one is paired only with the later
+        # non-ground ones; the pairs kept come in combinations() order.
+        opens = [not is_ground(rewritten_args[a]) for a in fn_apps]
+        open_apps = [a for a, is_open in zip(fn_apps, opens) if is_open]
+        opened = 0
+        for i, a1 in enumerate(fn_apps):
+            if opens[i]:
+                opened += 1
+                partners = fn_apps[i + 1:]
+            else:
+                partners = open_apps[opened:]
+            args1 = rewritten_args[a1]
+            for a2 in partners:
+                args2 = rewritten_args[a2]
+                if any(
+                    x is not y and x.is_const and y.is_const
+                    for x, y in zip(args1, args2)
+                ):
+                    # Some argument position holds two distinct constants, so
+                    # the implication's antecedent folds to false and the
+                    # constraint is vacuously true — skip building it.
+                    continue
+                arg_eqs = [tm.mk_eq(x, y) for x, y in zip(args1, args2)]
+                constraints.append(
+                    tm.mk_implies(
+                        tm.mk_and(*arg_eqs),
+                        tm.mk_eq(app_to_var[a1], app_to_var[a2]),
+                    )
                 )
-            )
 
     new_formulas = [tm.substitute(f, mapping) for f in formulas]
     return new_formulas, app_to_var, constraints
+
+
+def is_ground(args: Sequence[Term]) -> bool:
+    """True when every application argument is a constant."""
+    return all(a.is_const for a in args)
 
 
 def check_theory(
@@ -234,10 +250,12 @@ def check_theory(
         # lhs - rhs OP 0  =>  sum coeffs <= / = / != (const_r - const_l)
         coeffs: Dict[int, int] = {}
         for t, c in coeffs_l.items():
-            coeffs[var_id(t)] = coeffs.get(var_id(t), 0) + int(c)
+            idx = var_id(t)
+            coeffs[idx] = coeffs.get(idx, 0) + c
         for t, c in coeffs_r.items():
-            coeffs[var_id(t)] = coeffs.get(var_id(t), 0) - int(c)
-        const = int(const_r - const_l)
+            idx = var_id(t)
+            coeffs[idx] = coeffs.get(idx, 0) - c
+        const = const_r - const_l
         tag = (atom, pol)
         if atom.kind is Kind.EQ:
             if pol:

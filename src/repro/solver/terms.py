@@ -22,8 +22,18 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import SortError
 
@@ -239,6 +249,8 @@ class TermManager:
         self._next_id = 0
         self._vars: Dict[str, Term] = {}
         self._functions: Dict[str, FunctionSymbol] = {}
+        # linearize() results, one per Int term asked about
+        self._linear: Dict[Term, Tuple[Mapping[Term, int], int]] = {}
         self.true_ = self._intern(Kind.CONST_BOOL, Sort.BOOL, (), True, None, None)
         self.false_ = self._intern(Kind.CONST_BOOL, Sort.BOOL, (), False, None, None)
 
@@ -636,38 +648,63 @@ class TermManager:
 
     # -- linear normal form ----------------------------------------------------
 
-    def linearize(self, term: Term) -> Tuple[Dict[Term, Fraction], Fraction]:
+    def linearize(self, term: Term) -> Tuple[Mapping[Term, int], int]:
         """Normalize an Int term into ``sum(coeff * atom) + constant``.
 
         Atoms are variables and UF applications (treated opaquely).  Raises
         :class:`SortError` on non-linear structure (which :meth:`mk_mul`
         already prevents) and on ITE nodes, which must be eliminated before
         arithmetic reasoning.
+
+        The coefficients come back as a read-only mapping of ``int`` values
+        in first-occurrence order.  Forms of compound terms are computed
+        once and cached on this manager (read-only, so no caller can corrupt
+        the cache); a variable's or constant's form is built directly, which
+        costs less than keeping one per leaf.
         """
-        self._check_int(term)
-        coeffs: Dict[Term, Fraction] = {}
-        const = Fraction(0)
+        kind = term.kind
+        if kind is Kind.CONST_INT:
+            return _NO_COEFFS, term.value  # type: ignore[return-value]
+        if kind is Kind.VAR and term.sort is Sort.INT:
+            return MappingProxyType({term: 1}), 0
+        form = self._linear.get(term)
+        if form is None:
+            self._check_int(term)
+            coeffs, const = _linear_form(term)
+            form = (MappingProxyType(coeffs), const)
+            self._linear[term] = form
+        return form
 
-        def add(t: Term, scale: Fraction) -> None:
-            nonlocal const
-            if t.kind is Kind.CONST_INT:
-                const += scale * t.value  # type: ignore[operator]
-            elif t.kind is Kind.ADD:
-                for a in t.args:
-                    add(a, scale)
-            elif t.kind is Kind.NEG:
-                add(t.args[0], -scale)
-            elif t.kind is Kind.MUL:
-                c, v = t.args
-                assert c.kind is Kind.CONST_INT
-                add(v, scale * c.value)  # type: ignore[operator]
-            elif t.kind in (Kind.VAR, Kind.APP):
-                coeffs[t] = coeffs.get(t, Fraction(0)) + scale
-            else:
-                raise SortError(f"cannot linearize term of kind {t.kind}: {t}")
 
-        add(term, Fraction(1))
-        return {a: c for a, c in coeffs.items() if c != 0}, const
+#: the (shared, read-only) coefficients of a constant's linear form
+_NO_COEFFS: Mapping[Term, int] = MappingProxyType({})
+
+
+def _linear_form(term: Term) -> Tuple[Dict[Term, int], int]:
+    """Uncached :meth:`TermManager.linearize`: a fresh dict and constant."""
+    coeffs: Dict[Term, int] = {}
+    const = 0
+
+    def add(t: Term, scale: int) -> None:
+        nonlocal const
+        if t.kind is Kind.CONST_INT:
+            const += scale * t.value  # type: ignore[operator]
+        elif t.kind is Kind.ADD:
+            for a in t.args:
+                add(a, scale)
+        elif t.kind is Kind.NEG:
+            add(t.args[0], -scale)
+        elif t.kind is Kind.MUL:
+            c, v = t.args
+            assert c.kind is Kind.CONST_INT
+            add(v, scale * c.value)  # type: ignore[operator]
+        elif t.kind in (Kind.VAR, Kind.APP):
+            coeffs[t] = coeffs.get(t, 0) + scale
+        else:
+            raise SortError(f"cannot linearize term of kind {t.kind}: {t}")
+
+    add(term, 1)
+    return {a: c for a, c in coeffs.items() if c != 0}, const
 
 
 class CanonicalQuery:

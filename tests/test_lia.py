@@ -217,13 +217,14 @@ class TestBranchAndBound:
 
 
 @st.composite
-def random_lia_problem(draw):
-    n_vars = draw(st.integers(min_value=1, max_value=3))
-    n_cons = draw(st.integers(min_value=1, max_value=6))
+def random_lia_problem(draw, max_vars=3, max_cons=6, max_coeff=4):
+    n_vars = draw(st.integers(min_value=1, max_value=max_vars))
+    n_cons = draw(st.integers(min_value=1, max_value=max_cons))
     cons = []
     for _ in range(n_cons):
         coeffs = {
-            v: draw(st.integers(min_value=-4, max_value=4)) for v in range(n_vars)
+            v: draw(st.integers(min_value=-max_coeff, max_value=max_coeff))
+            for v in range(n_vars)
         }
         const = draw(st.integers(min_value=-10, max_value=10))
         op = draw(st.sampled_from(["<=", "=", "!="]))
@@ -285,3 +286,88 @@ class TestLiaAgainstBruteForce:
                     assert total == const
                 else:
                     assert total != const
+
+
+def _simplex_from_problem(n_vars, cons, keep=None):
+    """One slack row per constraint of a :func:`random_lia_problem`.
+
+    The simplex has no disequalities, so ``!=`` reads as ``>=`` here.
+    Bounds are tagged ``(index, side)``; with ``keep`` only the bounds
+    whose tags it contains are asserted.  Returns the simplex, its rows as
+    ``(slack, coeffs, op, const)``, and an immediate conflict core if an
+    assertion already produced one.
+    """
+    sx = Simplex()
+    xs = [sx.new_var() for _ in range(n_vars)]
+    rows = []
+    for i, (coeffs, op, const) in enumerate(cons):
+        slack = sx.add_row({xs[v]: c for v, c in coeffs.items()})
+        rows.append((slack, coeffs, op, const))
+        sides = {"<=": ("hi",), "=": ("hi", "lo"), "!=": ("lo",)}[op]
+        for side in sides:
+            tag = (i, side)
+            if keep is not None and tag not in keep:
+                continue
+            assert_bound = sx.assert_upper if side == "hi" else sx.assert_lower
+            conflict = assert_bound(slack, const, tag)
+            if conflict is not None:
+                return sx, xs, rows, conflict
+    return sx, xs, rows, None
+
+
+def _stored_numbers(sx):
+    """Every value, bound and tableau coefficient the simplex holds."""
+    yield from sx._beta
+    yield from (b for b in sx._lower if b is not None)
+    yield from (b for b in sx._upper if b is not None)
+    for row in sx._rows.values():
+        yield from row.values()
+
+
+class TestSimplexExactness:
+    """Integer-first arithmetic stays exact and keeps integral values int."""
+
+    def test_non_unit_pivot_yields_a_fraction(self):
+        sx = Simplex()
+        x, y = sx.new_var(), sx.new_var()
+        s = sx.add_row({x: 2, y: 4})  # s = 2x + 4y
+        sx.assert_lower(s, 3, "s>=3")
+        r = sx.check()
+        assert r.sat
+        assert 2 * r.model[x] + 4 * r.model[y] >= 3
+        assert any(type(v) is Fraction for v in r.model.values())
+        assert not any(
+            type(v) is Fraction and v.denominator == 1 for v in _stored_numbers(sx)
+        )
+
+    def test_fraction_inputs_are_stored_as_int_when_integral(self):
+        sx = Simplex()
+        x = sx.new_var()
+        s = sx.add_row({x: Fraction(6, 3)})
+        sx.assert_upper(s, Fraction(8, 2), "hi")
+        assert type(sx.bounds(s)[1]) is int
+        assert all(type(c) is int for c in sx._rows[s].values())
+
+    @given(random_lia_problem(max_vars=4, max_cons=8, max_coeff=6))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_with_non_unit_coefficients(self, problem):
+        n_vars, cons = problem
+        sx, xs, rows, conflict = _simplex_from_problem(n_vars, cons)
+        result = sx.check() if conflict is None else None
+        assert not any(
+            type(v) is Fraction and v.denominator == 1 for v in _stored_numbers(sx)
+        )
+        if result is not None and result.sat:
+            model = {v: Fraction(val) for v, val in result.model.items()}
+            for slack, coeffs, op, const in rows:
+                total = sum(c * model[xs[v]] for v, c in coeffs.items())
+                assert model[slack] == total
+                if op in ("<=", "="):
+                    assert total <= const
+                if op in ("=", "!="):
+                    assert total >= const
+            return
+        core = conflict if conflict is not None else result.core
+        assert core
+        again, _, _, early = _simplex_from_problem(n_vars, cons, keep=set(core))
+        assert early is not None or not again.check().sat
