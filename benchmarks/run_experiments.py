@@ -30,16 +30,6 @@ from repro.solver import TermManager
 from repro.solver.cache import QueryCache, use_cache
 from repro.symbolic import ConcolicEngine, ConcretizationMode
 
-#: worker threads for speculative flip planning (set by --jobs; the
-#: generated suites are identical at any value)
-JOBS = 1
-
-
-def _config(**kwargs):
-    kwargs.setdefault("jobs", JOBS)
-    return SearchConfig.from_options(**kwargs)
-
-
 MODES = [
     ("unsound", ConcretizationMode.UNSOUND),
     ("sound", ConcretizationMode.SOUND),
@@ -66,12 +56,12 @@ def paper_examples_table():
         for _label, mode in MODES:
             search = DirectedSearch.for_mode(
                 ex.program(), ex.entry, make_paper_natives(), mode,
-                _config(max_runs=40),
+                SearchConfig.from_options(max_runs=40),
             )
             cells.append(cell(search.run(dict(ex.initial_inputs))))
         static = StaticTestGenerator(
             ex.program(), ex.entry, make_paper_natives(),
-            _config(max_runs=40),
+            SearchConfig.from_options(max_runs=40),
         ).run(dict(ex.initial_inputs))
         cells.append(cell(static))
         print(f"| {name} | {ex.section} | " + " | ".join(cells) + " |")
@@ -97,7 +87,7 @@ def lexer_table():
         start = time.perf_counter()
         res = DirectedSearch.for_mode(
             app.program, app.entry, app.fresh_natives(), mode,
-            _config(max_runs=120),
+            SearchConfig.from_options(max_runs=120),
         ).run(app.initial_inputs("zzz", 0))
         note = ""
         if res.errors:
@@ -121,7 +111,7 @@ def lexer_table():
     table_app = build_table_lexer_program()
     res = DirectedSearch.for_mode(
         table_app.program, table_app.entry, table_app.fresh_natives(),
-        ConcretizationMode.HIGHER_ORDER, _config(max_runs=60),
+        ConcretizationMode.HIGHER_ORDER, SearchConfig.from_options(max_runs=60),
     ).run(table_app.initial_inputs("zzz", 0))
     print(
         f"higher-order on the hash-indexed symbol table: bug found = "
@@ -141,7 +131,7 @@ def learning_table():
     start = time.perf_counter()
     cold = DirectedSearch.for_mode(
         app.program, app.entry, app.fresh_natives(),
-        ConcretizationMode.HIGHER_ORDER, _config(max_runs=120),
+        ConcretizationMode.HIGHER_ORDER, SearchConfig.from_options(max_runs=120),
     ).run(app.initial_inputs("zzz", 0))
     cold_t = time.perf_counter() - start
     # warm
@@ -155,7 +145,7 @@ def learning_table():
     start = time.perf_counter()
     warm = DirectedSearch.for_mode(
         app.program, app.entry, app.fresh_natives(),
-        ConcretizationMode.HIGHER_ORDER, _config(max_runs=120),
+        ConcretizationMode.HIGHER_ORDER, SearchConfig.from_options(max_runs=120),
         manager=tm, store=store,
     ).run(app.initial_inputs("zzz", 0))
     warm_t = time.perf_counter() - start
@@ -191,7 +181,9 @@ def staged_apps_table():
             start = time.perf_counter()
             res = DirectedSearch.for_mode(
                 app.program, app.entry, app.fresh_natives(), mode,
-                _config(max_runs=max_runs, stop_on_first_error=stop_first),
+                SearchConfig.from_options(
+                    max_runs=max_runs, stop_on_first_error=stop_first
+                ),
             ).run(dict(seed))
             rows.append((
                 name, label, len(res.errors), res.runs,
@@ -380,7 +372,7 @@ def scheduler_bench(path, repeats=3):
             runs = 0
             for _ in range(repeats):
                 app = build()
-                config = _config(max_runs=max_runs, scheduler=scheduler)
+                config = SearchConfig.from_options(max_runs=max_runs, scheduler=scheduler)
                 start = time.perf_counter()
                 with use_cache(QueryCache()):
                     res = DirectedSearch.for_mode(
@@ -614,12 +606,6 @@ def main(argv=None):
         help="write BENCH JSON (with an aggregated metrics section) to FILE",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads planning branch flips (same results at any value)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the normalized query cache (cold-solver baseline)",
@@ -660,8 +646,6 @@ def main(argv=None):
         ),
     )
     args = parser.parse_args(argv)
-    global JOBS
-    JOBS = args.jobs
     if args.pr4 is not None:
         campaign_bench(args.pr4, workers=args.workers)
         return
@@ -682,7 +666,6 @@ def main(argv=None):
         report()
     payload = {
         "generator": "benchmarks/run_experiments.py",
-        "jobs": args.jobs,
         "cache": not args.no_cache,
         "cache_hits": cache.hits if cache is not None else 0,
         "cache_misses": cache.misses if cache is not None else 0,

@@ -398,7 +398,7 @@ class Client:
 
     Execution-environment knobs (``workers``, ``cache_dir``,
     ``telemetry``, supervision) live on the client; per-campaign
-    choices (the spec, ``scheduler``/``jobs``/``exec_backend``
+    choices (the spec, ``scheduler``/``exec_backend``
     overrides, ``priority``, ``tenant``) live on :meth:`submit`.
     """
 
@@ -448,7 +448,6 @@ class Client:
         tenant: str = "default",
         checkpoint: Optional[str] = None,
         scheduler: Optional[str] = None,
-        jobs: Optional[int] = None,
         exec_backend: Optional[str] = None,
         progress: Optional[Callable[[JobResult], None]] = None,
     ) -> CampaignHandle:
@@ -458,10 +457,9 @@ class Client:
         path to a ``.toml``/``.json`` spec file, or ``"paper"`` for the
         built-in paper-example suite.  ``scheduler`` overrides the
         spec's scheduler list with one frontier scheduler for every job;
-        ``jobs`` sets per-search speculative planning threads;
         ``exec_backend`` forces the execution core.  The report's
-        ``campaign_digest`` is byte-identical at every ``workers`` (and
-        ``jobs``) value, across both execution backends, under retries,
+        ``campaign_digest`` is byte-identical at every ``workers``
+        value, across both execution backends, under retries,
         and — because job results are pure functions of the job and the
         solver cache — whether the campaign ran alone or interleaved
         with others on a service fleet.
@@ -489,7 +487,6 @@ class Client:
                 priority=priority,
                 tenant=tenant,
                 scheduler=scheduler,
-                jobs=jobs,
                 exec_backend=exec_backend,
                 job_deadline=self.job_deadline,
             )
@@ -499,7 +496,6 @@ class Client:
             tenant=tenant,
             checkpoint=checkpoint,
             scheduler=scheduler,
-            jobs=jobs,
             exec_backend=exec_backend,
             progress=progress,
         )
@@ -524,7 +520,6 @@ class Client:
         tenant: str,
         checkpoint: Optional[str],
         scheduler: Optional[str],
-        jobs: Optional[int],
         exec_backend: Optional[str],
         progress: Optional[Callable[[JobResult], None]],
     ) -> CampaignHandle:
@@ -532,7 +527,6 @@ class Client:
         if scheduler is not None:
             campaign = campaign.with_overrides(scheduler=scheduler)
         campaign = campaign.with_overrides(
-            jobs=jobs,
             exec_backend=exec_backend,
             job_deadline=self.job_deadline,
         )
@@ -563,8 +557,6 @@ class Client:
         options: Dict[str, object] = {}
         if scheduler is not None:
             options["scheduler"] = scheduler
-        if jobs is not None:
-            options["jobs"] = jobs
         if exec_backend is not None:
             options["exec_backend"] = exec_backend
         if self.job_deadline is not None:
@@ -703,7 +695,6 @@ def run_campaign(
     checkpoint: Optional[str] = None,
     fault_plan: str = "",
     scheduler: Optional[str] = None,
-    jobs: Optional[int] = None,
     exec_backend: Optional[str] = None,
     telemetry: Optional[str] = None,
     job_deadline: Optional[float] = None,
@@ -737,7 +728,6 @@ def run_campaign(
         spec,
         checkpoint=checkpoint,
         scheduler=scheduler,
-        jobs=jobs,
         exec_backend=exec_backend,
         progress=progress,
     )

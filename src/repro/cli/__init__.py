@@ -21,7 +21,6 @@ Usage::
     python -m repro run program.minic --entry main --seed x=1,y=2
     python -m repro run program.minic --mode unsound --max-runs 50
     python -m repro run program.minic --trace events.jsonl --profile
-    python -m repro run program.minic --jobs 4            # speculative planning
     python -m repro run program.minic --scheduler coverage  # guided frontier
     python -m repro run program.minic --checkpoint ck/    # interrupt-safe search
     python -m repro run program.minic --resume ck/        # continue after a kill
@@ -29,9 +28,9 @@ Usage::
     python -m repro fuzz program.minic --runs 500 --range -100:100
     python -m repro modes program.minic --seed x=1,y=2   # compare engines
     python -m repro stats program.minic --seed x=1,y=2   # observability report
-    python -m repro bench program.minic --jobs 2          # perf + suite digest
+    python -m repro bench program.minic --json b.json     # perf + suite digest
     python -m repro campaign paper --workers 4            # batch engine
-    python -m repro campaign paper --scheduler generational --jobs 2
+    python -m repro campaign paper --scheduler generational
     python -m repro campaign suite.toml --cache-dir .repro-cache
 
 Observability flags (``run`` and ``stats``):

@@ -38,9 +38,8 @@ def cmd_bench(args) -> int:
             obs=obs,
             config=SearchConfig.from_options(
                 max_runs=args.max_runs,
-                jobs=args.jobs,
+                scheduler=args.scheduler,
                 exec_backend=args.exec_backend,
-                **common.scheduler_option(args),
             ),
         )
 
@@ -51,7 +50,6 @@ def cmd_bench(args) -> int:
     payload = {
         "program": os.path.basename(args.program),
         "mode": args.mode,
-        "jobs": args.jobs,
         "exec_backend": args.exec_backend,
         "cache": not args.no_cache,
         "cache_dir": getattr(args, "cache_dir", None),
@@ -124,18 +122,6 @@ def register(sub) -> None:
         default="dfs",
         choices=list(scheduler_names()),
         help="frontier scheduler (see 'run --scheduler')",
-    )
-    bench.add_argument(
-        "--frontier",
-        default=None,
-        choices=["fifo", "coverage"],
-        help="deprecated alias for --scheduler (fifo=dfs, coverage=generational)",
-    )
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads planning branch flips (same suite at any value)",
     )
     bench.add_argument(
         "--exec-backend",

@@ -41,7 +41,6 @@ def cmd_campaign(args) -> int:
             args.spec,
             checkpoint=args.checkpoint,
             scheduler=args.scheduler,
-            jobs=args.jobs,
             exec_backend=args.exec_backend,
             progress=_progress,
         )
@@ -134,15 +133,6 @@ def register(sub) -> None:
         help=(
             "override the spec's scheduler list with one frontier "
             "scheduler for every job"
-        ),
-    )
-    campaign.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help=(
-            "per-search speculative planning threads (suite digests are "
-            "identical at any value)"
         ),
     )
     campaign.add_argument(

@@ -54,14 +54,13 @@ def cmd_run(args) -> int:
                 obs=cli_obs.obs,
                 config=SearchConfig.from_options(
                     max_runs=args.max_runs,
-                    jobs=args.jobs,
+                    scheduler=args.scheduler,
                     checkpoint_dir=checkpoint_dir,
                     checkpoint_every=args.checkpoint_every,
                     resume_from=args.resume,
                     exec_backend=args.exec_backend,
                     job_deadline=args.job_deadline,
                     seed_corpus=seed_corpus,
-                    **common.scheduler_option(args),
                 ),
                 _search_hook=_capture_store,
             )
@@ -120,18 +119,6 @@ def register(sub) -> None:
             "frontier scheduler: dfs (paper order), generational "
             "(SAGE-style), coverage (flip-target guided); see docs/SEARCH.md"
         ),
-    )
-    run.add_argument(
-        "--frontier",
-        default=None,
-        choices=["fifo", "coverage"],
-        help="deprecated alias for --scheduler (fifo=dfs, coverage=generational)",
-    )
-    run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads planning branch flips (same suite at any value)",
     )
     run.add_argument(
         "--exec-backend",

@@ -44,11 +44,11 @@ def plan_validity(
     """The pure planning half of higher-order generation.
 
     Deterministic in (the structure of) ``request`` and ``samples``: no
-    probe runs, no store access, no shared mutable state — which is what
-    lets the parallel frontier expander speculate it on worker threads
-    against an imported copy of the request.  ``budget`` scopes a
-    :class:`~repro.solver.budget.SolverBudget` over the validity check
-    (the degradation ladder escalates it for deferred retries).
+    probe runs, no store access, no shared mutable state — so the search
+    kernel solves it on a copy of the request imported into a fresh term
+    manager (:func:`repro.search.parallel.generate_flip`).  ``budget``
+    scopes a :class:`~repro.solver.budget.SolverBudget` over the validity
+    check (the degradation ladder escalates it for deferred retries).
     """
     alt = alternate_constraint(tm, request.conditions, request.index)
     checker = ValidityChecker(

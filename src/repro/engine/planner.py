@@ -216,7 +216,6 @@ class CampaignSpec:
     def with_overrides(
         self,
         scheduler: Optional[str] = None,
-        jobs: Optional[int] = None,
         exec_backend: Optional[str] = None,
         job_deadline: Optional[float] = None,
     ) -> "CampaignSpec":
@@ -227,16 +226,9 @@ class CampaignSpec:
         (``job_deadline`` is also what the supervisor's parent-side
         defensive timeout keys off).
         """
-        if (
-            scheduler is None
-            and jobs is None
-            and exec_backend is None
-            and job_deadline is None
-        ):
+        if scheduler is None and exec_backend is None and job_deadline is None:
             return self
         overrides: Dict[str, object] = {}
-        if jobs:
-            overrides["jobs"] = jobs
         if exec_backend is not None:
             overrides["exec_backend"] = exec_backend
         if job_deadline is not None:

@@ -45,9 +45,9 @@ __all__ = [
 class Counter:
     """A monotonically increasing integer metric.
 
-    Increments are lock-protected: the parallel frontier expander records
-    solver metrics from worker threads, and ``+=`` on an attribute is not
-    atomic under the interpreter.
+    Increments are lock-protected: local :class:`~repro.api.Client`
+    campaigns run on background threads that can share one registry, and
+    ``+=`` on an attribute is not atomic under the interpreter.
     """
 
     __slots__ = ("name", "value", "_lock")
@@ -141,7 +141,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     # -- instrument access -------------------------------------------------
-    # create-on-first-use is lock-protected so two worker threads racing on
+    # create-on-first-use is lock-protected so two Client threads racing on
     # a new name cannot each create (and partially lose) an instrument
 
     def counter(self, name: str) -> Counter:

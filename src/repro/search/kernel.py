@@ -24,9 +24,9 @@ snapshot is written into every checkpoint's advisory ``state.json``.
 Stage boundaries are refactoring seams, not behaviour changes: under the
 ``dfs`` scheduler the kernel reproduces the pre-kernel monolith's suite
 byte-for-byte (CI gates the paper-suite digest on it), and the
-determinism contracts of the parallel expander (any ``--jobs``), the
-checkpoint replay (kill → resume), and the degradation ladder all hold
-for every scheduler (docs/SEARCH.md spells out the contract).
+determinism contracts of the checkpoint replay (kill → resume) and the
+degradation ladder hold for every scheduler (docs/SEARCH.md spells out
+the contract).
 
 Every stage is also a **profiling span**: the kernel opens a tracer span
 per stage (labels ``execute``, ``derive``, ``schedule``, ``generate``,
@@ -73,7 +73,7 @@ from .backends import (
 )
 from .checkpoint import CheckpointWriter, ReplayCursor
 from .directed import CrashReport, ErrorReport, ExecutionRecord, SearchResult
-from .parallel import FrontierExpander, PlannedRecord
+from .parallel import generate_flip
 from .scheduler import FrontierItem, FrontierScheduler
 
 __all__ = ["SearchKernel", "SearchState"]
@@ -254,20 +254,12 @@ class SearchKernel:
         if self.config.job_deadline:
             self._deadline = time.monotonic() + self.config.job_deadline
         self._begin_replay()
-        expander = FrontierExpander(
-            self.backend,
-            self.config.jobs,
-            scheduler=self.state.scheduler.name,
-        )
         try:
-            self._expand(seed_inputs, expander)
+            self._expand(seed_inputs)
         finally:
             self._end_replay()
-            expander.shutdown()
 
-    def _expand(
-        self, seed_inputs: Dict[str, int], expander: FrontierExpander
-    ) -> None:
+    def _expand(self, seed_inputs: Dict[str, int]) -> None:
         result = self.result
         state = self.state
         scheduler = state.scheduler
@@ -292,26 +284,19 @@ class SearchKernel:
                     f"kernel.iterations.{scheduler.name}"
                 ).inc()
             item = self.schedule()
-            record, start = item.record, item.start
-            flip_order = scheduler.order_flips(record, item.indices)
+            record = item.record
             conditions = record.result.path_conditions
-            requests = [
-                GenerationRequest(
+            for i in scheduler.order_flips(record, item.indices):
+                if result.runs >= self.config.max_runs:
+                    break
+                request = GenerationRequest(
                     conditions=list(conditions),
                     index=i,
                     input_vars=dict(record.result.input_vars),
                     defaults=dict(record.result.inputs),
                 )
-                for i in flip_order
-            ]
-            # replay skips all solving, so speculative planning would only
-            # burn worker time (and fault-site counters) for nothing
-            planned = expander.plan_record(requests, speculate=self._replay is None)
-            for k, i in enumerate(flip_order):
-                if result.runs >= self.config.max_runs:
-                    break
                 with self.obs.tracer.span("generate") as gen_span:
-                    outcome = self.solve_flip(planned, k, requests[k], record, i)
+                    outcome = self.solve_flip(request, record, i)
                 result.time_generating += gen_span.elapsed
                 self._observe_stage("generate", gen_span.elapsed)
                 self._observe_cache()
@@ -423,12 +408,7 @@ class SearchKernel:
     # -- stage 4: solve (replay + degradation ladder) ------------------------
 
     def solve_flip(
-        self,
-        planned: PlannedRecord,
-        k: int,
-        request: GenerationRequest,
-        record: ExecutionRecord,
-        i: int,
+        self, request: GenerationRequest, record: ExecutionRecord, i: int
     ):
         """Inputs for one flip, via the decision log (resume) or the ladder.
 
@@ -448,7 +428,7 @@ class SearchKernel:
         result.solver_calls += 1
         self._probe_log = []
         try:
-            generated, rung = self._run_ladder(planned, k, request, record, i)
+            generated, rung = self._run_ladder(request, record, i)
         except RunBudgetExhausted:
             # a multi-step probe ran out of execution budget: the strategy
             # is over, but everything produced so far stands
@@ -465,12 +445,7 @@ class SearchKernel:
         return generated
 
     def _run_ladder(
-        self,
-        planned: PlannedRecord,
-        k: int,
-        request: GenerationRequest,
-        record: ExecutionRecord,
-        i: int,
+        self, request: GenerationRequest, record: ExecutionRecord, i: int
     ) -> Tuple[Optional[GeneratedTest], str]:
         """The solver degradation ladder for one flip.
 
@@ -480,7 +455,7 @@ class SearchKernel:
         or with UNSAT — ends the ladder.
         """
         try:
-            return planned.produce(k), "full"
+            return generate_flip(self.backend, request), "full"
         except RunBudgetExhausted:
             raise
         except ResourceLimitError:

@@ -1,45 +1,37 @@
-"""Parallel frontier expansion: speculative, deterministic branch-flip planning.
+"""Serial flip planning: each branch flip is solved on a fresh term manager.
 
-The directed search expands one execution record by asking the backend for
-an input vector per negatable condition.  Planning those flips is pure —
-the expensive solver work depends only on the record's path constraint and
-a snapshot of the sample store — while *finishing* a flip (recording the
-verdict, running probe tests, executing the child) mutates search state and
-must stay serial.  This module splits the two:
+The directed search (paper §2, Fig. 3) expands one execution record by
+asking the backend for an input vector per negatable condition, one flip
+at a time.  :func:`generate_flip` is that one step as the kernel calls it:
 
-- ``plan``: runs on a worker thread against a private :class:`TermManager`
-  built by :meth:`~repro.solver.terms.TermManager.import_term`, so worker
-  threads never touch the engine's shared manager.  Imported managers
-  assign term ids deterministically (same structure → same ids), so a plan
-  computed on a worker is bit-for-bit the plan a serial run would compute.
-- ``finish``: applied by the search loop in flip order — (run index, branch
-  index) — on the main thread.  Higher-order plans carry the sample-store
-  length they were planned against; if the store grew in the meantime
-  (probes, child executions), the plan is recomputed synchronously against
-  the live store, which is exactly what a serial run would have used.
+- for the built-in backends, matched by exact type (a subclass may have
+  overridden ``generate`` with logic this path would silently skip), the
+  request is copied into a fresh :class:`TermManager` by
+  :func:`import_request` and solved there; the answer is then finished
+  against the live backend — solver-call counts, the higher-order verdict
+  log, strategy concretization against the live sample store, and
+  multi-step probes;
+- any other backend is called inline through its own ``generate``.
 
-Consequently the generated test suite is byte-identical for every
-``--jobs`` value: parallelism only changes *when* speculative work happens,
-never which results are consumed.  (Metrics may differ — a stale
-speculative plan costs an extra recorded solver query.)  Backends without a
-registered planner fall back to inline ``generate()`` at consume time,
-which is serial and therefore trivially deterministic too.
+:func:`import_request` stays, and stays in this module, for two reasons.
+Term ids in the copy depend only on the request's structure, never on
+what else the engine's manager has interned, and the solver's variable
+and atom order follows term ids.  The recorded higher-order suite
+digests in ``perfbench/expected.json`` rely on that: without the copy,
+the lexer hunt's digest changes.  And ``perfbench/tracing.py`` times it as the
+``search.import_request`` span by its ``repro.search.parallel`` path.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..errors import ResourceLimitError
-from ..faults import current_fault_plan
 from ..solver.terms import Term, TermManager
-from ..solver.validity import Sample
 from .backends import ExistentialBackend, QuantifierFreeBackend
 from .request import GeneratedTest, GenerationRequest, TestGenBackend
 
-__all__ = ["FrontierExpander", "PlannedRecord", "import_request"]
+__all__ = ["generate_flip", "import_request"]
 
 
 def import_request(
@@ -48,10 +40,8 @@ def import_request(
     """Deep-copy ``request`` into a fresh :class:`TermManager`.
 
     Path-condition terms and input variables are imported (function symbols
-    stay shared — they are immutable and identity-keyed everywhere), so the
-    copy can be solved on a worker thread without synchronizing on the
-    engine's manager, and term ids in the copy depend only on the request's
-    structure.
+    stay shared — they are immutable and identity-keyed everywhere), so
+    term ids in the copy depend only on the request's structure.
     """
     local = TermManager()
     cache: Dict[Term, Term] = {}
@@ -71,214 +61,33 @@ def import_request(
     )
 
 
-#: a plan function (pure, thread-safe) and its serial finisher
-_Planner = Tuple[
-    Callable[[GenerationRequest, List[Sample]], object],
-    Callable[[GenerationRequest, object], Optional[GeneratedTest]],
-]
+def generate_flip(
+    backend: TestGenBackend, request: GenerationRequest
+) -> Optional[GeneratedTest]:
+    """The test for one flip, or None when the backend finds none."""
+    from ..core.hotg import HigherOrderBackend, plan_validity  # core imports search
 
-
-def _satisfiability_planner(backend: TestGenBackend, factory) -> _Planner:
-    """Planner for backends whose generate() is already pure: clone the
-    backend onto the imported manager and run it to completion."""
-
-    def plan(request: GenerationRequest, samples: List[Sample]) -> object:
-        local_tm, local_request = import_request(request)
-        worker = factory(local_tm)
-        return worker.generate(local_request), worker.solver_calls
-
-    def finish(request: GenerationRequest, planned: object) -> Optional[GeneratedTest]:
-        test, calls = planned  # type: ignore[misc]
-        backend.solver_calls += calls
-        return test
-
-    return plan, finish
-
-
-def _higher_order_planner(backend) -> _Planner:
-    from ..core.hotg import plan_validity  # deferred: core imports search
-
-    def plan(request: GenerationRequest, samples: List[Sample]) -> object:
+    kind = type(backend)
+    if kind is HigherOrderBackend:
         local_tm, local_request = import_request(request)
         verdict = plan_validity(
             local_tm,
             local_request,
-            samples,
+            backend.store.samples(),
             use_antecedent=backend.use_antecedent,
             max_candidates=backend.max_candidates,
         )
-        return verdict, len(samples)
-
-    def finish(request: GenerationRequest, planned: object) -> Optional[GeneratedTest]:
-        verdict, store_len = planned  # type: ignore[misc]
-        if store_len != len(backend.store):
-            # the store grew since this plan was made (a probe or a child
-            # execution recorded samples): recompute against the live store,
-            # exactly as the serial search would have
-            verdict, _ = plan(request, backend.store.samples())
         return backend.apply_plan(request, verdict)
-
-    return plan, finish
-
-
-def _planner_for(backend: TestGenBackend) -> Optional[_Planner]:
-    """The (plan, finish) pair for backends with a known pure planning half.
-
-    Matching is by exact type: a subclass may have overridden ``generate``
-    with logic the planner would silently skip.
-    """
-    if type(backend) is QuantifierFreeBackend:
-        retain = backend.retain_defaults
-        return _satisfiability_planner(
-            backend, lambda tm: QuantifierFreeBackend(tm, retain_defaults=retain, use_session=False)
+    if kind is QuantifierFreeBackend:
+        local_tm, local_request = import_request(request)
+        solver = QuantifierFreeBackend(
+            local_tm, retain_defaults=backend.retain_defaults, use_session=False
         )
-    if type(backend) is ExistentialBackend:
-        return _satisfiability_planner(
-            backend, lambda tm: ExistentialBackend(tm, use_session=False)
-        )
-    try:
-        from ..core.hotg import HigherOrderBackend  # deferred: core imports search
-    except ImportError:  # pragma: no cover - core is always present
-        return None
-    if type(backend) is HigherOrderBackend:
-        return _higher_order_planner(backend)
-    return None
-
-
-class PlannedRecord:
-    """The flips of one execution record, planned (or to be planned).
-
-    ``produce(k)`` returns the generated test for the record's k-th
-    candidate flip, in any order the caller likes — though the search
-    consumes them strictly in flip order to keep finishing deterministic.
-    """
-
-    def __init__(
-        self,
-        expander: "FrontierExpander",
-        requests: Sequence[GenerationRequest],
-        futures: Optional[List["Future[object]"]],
-    ) -> None:
-        self._expander = expander
-        self._requests = list(requests)
-        self._futures = futures
-
-    def __len__(self) -> int:
-        return len(self._requests)
-
-    def produce(self, k: int) -> Optional[GeneratedTest]:
-        future = self._futures[k] if self._futures is not None else None
-        return self._expander._produce(self._requests[k], future)
-
-
-class FrontierExpander:
-    """Dispatches flip planning to a bounded worker pool.
-
-    With ``jobs == 1`` (or an unrecognized backend) nothing is speculated:
-    plans are computed lazily on the main thread when consumed, which is
-    byte-for-byte the serial search.  With ``jobs > 1`` every flip of a
-    record is submitted to the pool up front and results are merged in flip
-    order by the search loop.
-    """
-
-    def __init__(
-        self, backend: TestGenBackend, jobs: int = 1, scheduler: str = ""
-    ) -> None:
-        self.backend = backend
-        self.jobs = max(1, int(jobs))
-        #: name of the frontier scheduler driving this expander; requests
-        #: arrive already in the scheduler's flip order, and the name tags
-        #: worker-failure journal events for post-mortems
-        self.scheduler = scheduler
-        self._planner = _planner_for(backend)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        if self.jobs > 1 and self._planner is not None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.jobs, thread_name_prefix="repro-flip"
-            )
-
-    def plan_record(
-        self, requests: Sequence[GenerationRequest], speculate: bool = True
-    ) -> PlannedRecord:
-        """Plan every candidate flip of one record (speculatively if pooled).
-
-        ``speculate=False`` skips the worker pool for this record: plans are
-        computed lazily on the main thread at consume time (the checkpoint
-        replay uses this — replayed flips never consult the solver at all).
-        """
-        futures: Optional[List["Future[object]"]] = None
-        if (
-            speculate
-            and self._pool is not None
-            and self._planner is not None
-            and requests
-        ):
-            plan, _ = self._planner
-            snapshot = self._samples()
-            futures = [
-                self._pool.submit(self._speculate, plan, r, snapshot)
-                for r in requests
-            ]
-        return PlannedRecord(self, requests, futures)
-
-    @staticmethod
-    def _speculate(plan, request: GenerationRequest, samples: List[Sample]) -> object:
-        """One worker-thread planning task (with its fault-injection site)."""
-        current_fault_plan().fire("worker")
-        from time import perf_counter
-
-        from ..obs.metrics import default_registry
-
-        started = perf_counter()
-        planned = plan(request, samples)
-        registry = default_registry()
-        if registry.enabled:
-            registry.histogram("kernel.speculate_seconds").observe(
-                perf_counter() - started
-            )
-        return planned
-
-    def _produce(
-        self, request: GenerationRequest, future: Optional["Future[object]"]
-    ) -> Optional[GeneratedTest]:
-        if self._planner is None:
-            return self.backend.generate(request)
-        plan, finish = self._planner
-        if future is not None:
-            try:
-                planned = future.result()
-            except ResourceLimitError:
-                # a budget exhausted on a worker is a property of the query,
-                # not of the worker: surface it to the degradation ladder
-                raise
-            except Exception as exc:
-                # the speculative worker died (crash, injected fault): the
-                # plan is pure, so recomputing it serially yields exactly
-                # the result the worker would have produced
-                from ..obs.journal import current_journal
-                from ..obs.metrics import default_registry
-
-                registry = default_registry()
-                if registry.enabled:
-                    registry.counter("search.parallel.worker_failures").inc()
-                current_journal().emit(
-                    "worker_failure",
-                    flip=request.index,
-                    scheduler=self.scheduler,
-                    error=type(exc).__name__,
-                    message=str(exc),
-                )
-                planned = plan(request, self._samples())
-        else:
-            planned = plan(request, self._samples())
-        return finish(request, planned)
-
-    def _samples(self) -> List[Sample]:
-        store = getattr(self.backend, "store", None)
-        return store.samples() if store is not None else []
-
-    def shutdown(self) -> None:
-        """Discard pending speculation (consumed results are unaffected)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+    elif kind is ExistentialBackend:
+        local_tm, local_request = import_request(request)
+        solver = ExistentialBackend(local_tm, use_session=False)
+    else:
+        return backend.generate(request)
+    test = solver.generate(local_request)
+    backend.solver_calls += solver.solver_calls
+    return test

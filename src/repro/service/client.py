@@ -150,7 +150,6 @@ class ServiceClient:
         priority: int = 0,
         tenant: str = "default",
         scheduler: Optional[str] = None,
-        jobs: Optional[int] = None,
         exec_backend: Optional[str] = None,
         job_deadline: Optional[float] = None,
     ) -> ServiceHandle:
@@ -166,8 +165,6 @@ class ServiceClient:
         options: Dict[str, object] = {}
         if scheduler is not None:
             options["scheduler"] = scheduler
-        if jobs is not None:
-            options["jobs"] = jobs
         if exec_backend is not None:
             options["exec_backend"] = exec_backend
         if job_deadline is not None:

@@ -284,21 +284,13 @@ class TestSurfaceContracts:
         with pytest.raises(TypeError, match="not_an_option"):
             SearchConfig.from_options(not_an_option=1)
 
-    def test_from_options_resolves_deprecated_aliases(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # the one-shot warning may have fired already in this process;
-            # force a fresh alias so the DeprecationWarning is observable
-            from repro.search import directed
-
-            directed._WARNED_ALIASES.discard("stop_on_error")
-            with pytest.raises(DeprecationWarning):
-                SearchConfig.from_options(stop_on_error=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            config = SearchConfig.from_options(stop_on_error=True, max_runs=3)
-        assert config.stop_on_first_error is True
-        assert config.max_runs == 3
+    def test_from_options_rejects_removed_spellings(self):
+        for key in (
+            "stop_on_error", "threads", "frontier", "frontier_policy",
+            "checkpoint", "resume", "jobs",
+        ):
+            with pytest.raises(TypeError, match=f"option '{key}'"):
+                SearchConfig.from_options(**{key: 1})
 
     def test_cli_suite_digest_alias_warns_but_works(self):
         import repro.cli as cli

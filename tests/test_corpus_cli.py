@@ -158,10 +158,16 @@ class TestCli:
     def test_default_entry_is_main(self, program_file, capsys):
         assert main(["run", program_file, "--seed", "x=33,y=42"]) == 0
 
-    def test_coverage_frontier_flag(self, program_file):
-        assert main(
-            [
-                "run", program_file, "--seed", "x=33,y=42",
-                "--frontier", "coverage",
-            ]
-        ) == 0
+    def test_removed_search_flags_are_usage_errors(self, program_file, tmp_path):
+        state_dir = str(tmp_path / "state")
+        for argv in (
+            ["run", program_file, "--frontier", "coverage"],
+            ["run", program_file, "--jobs", "2"],
+            ["bench", program_file, "--frontier", "coverage"],
+            ["bench", program_file, "--jobs", "2"],
+            ["campaign", "paper", "--jobs", "2"],
+            ["submit", "--state-dir", state_dir, "paper", "--jobs", "2"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv

@@ -108,10 +108,9 @@ int f(int x, int y) {
 """
 
 
-def chain_search(checkpoint_dir=None, resume_from=None, jobs=1, max_runs=60):
+def chain_search(checkpoint_dir=None, resume_from=None, max_runs=60):
     config = SearchConfig(
         max_runs=max_runs,
-        jobs=jobs,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=2,
         resume_from=resume_from,
@@ -137,8 +136,10 @@ class TestFaultPlanParsing:
         assert "interp:at=3+5" in plan.spec()
 
     def test_unknown_site_rejected(self):
-        with pytest.raises(FaultPlanError):
-            FaultPlan.parse("disk:at=1")
+        # "worker" is not a site: only worker *processes* are faulted
+        for spec in ("disk:at=1", "worker:at=1"):
+            with pytest.raises(FaultPlanError, match="unknown fault site"):
+                FaultPlan.parse(spec)
 
     def test_bad_option_rejected(self):
         with pytest.raises(FaultPlanError):
@@ -182,7 +183,7 @@ class TestFaultPlanFiring:
         cases = [
             ("solver", ResourceLimitError),
             ("interp", StepBudgetExceeded),
-            ("worker", RuntimeError),
+            ("worker-proc", RuntimeError),
             ("journal", OSError),
             ("checkpoint", OSError),
             ("kill", SearchInterrupted),
@@ -424,27 +425,39 @@ class TestCheckpointWriteTolerance:
         assert cursor.checkpoint_runs > 0
 
 
+def kill_spec(kill_at, cycles):
+    """A plan killing the search ``cycles`` times, three runs apart."""
+    return "kill:at=" + "+".join(str(kill_at + 3 * n) for n in range(cycles))
+
+
 class TestResumeDeterminism:
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("cycles", [1, 2])
     @pytest.mark.parametrize("kill_at", [2, 5])
-    def test_resumed_suite_matches_uninterrupted(self, tmp_path, jobs, kill_at):
-        baseline = chain_search(jobs=jobs).run(dict(CHAIN_SEED))
+    def test_resumed_suite_matches_uninterrupted(self, tmp_path, cycles, kill_at):
+        baseline = chain_search().run(dict(CHAIN_SEED))
         expected = suite_digest(baseline)
 
         ckpt = str(tmp_path / "ckpt")
-        spec = f"kill:at={kill_at}"
+        spec = kill_spec(kill_at, cycles)
         with use_fault_plan(FaultPlan.parse(spec)):
             with pytest.raises(SearchInterrupted) as info:
-                chain_search(checkpoint_dir=ckpt, jobs=jobs).run(dict(CHAIN_SEED))
+                chain_search(checkpoint_dir=ckpt).run(dict(CHAIN_SEED))
         assert info.value.checkpoint_dir == ckpt
         assert isinstance(info.value.partial_result, SearchResult)
+        for _ in range(cycles - 1):
+            # killed again after resuming: a resume of a resume
+            with use_fault_plan(FaultPlan.parse(spec)):
+                with pytest.raises(SearchInterrupted):
+                    chain_search(checkpoint_dir=ckpt, resume_from=ckpt).run(
+                        dict(CHAIN_SEED)
+                    )
 
-        # resuming under the *same* plan must not re-fire the one-shot
-        # kill: the checkpoint restored its invocation counters
+        # resuming under the *same* plan must not re-fire a spent kill:
+        # the checkpoint restored its invocation counters
         with use_fault_plan(FaultPlan.parse(spec)):
-            resumed = chain_search(
-                checkpoint_dir=ckpt, resume_from=ckpt, jobs=jobs
-            ).run(dict(CHAIN_SEED))
+            resumed = chain_search(checkpoint_dir=ckpt, resume_from=ckpt).run(
+                dict(CHAIN_SEED)
+            )
         assert resumed.replayed_decisions > 0
         assert suite_digest(resumed) == expected
 

@@ -1,8 +1,8 @@
 """Tests for the staged search kernel's pluggable frontier schedulers:
-name resolution and aliases, dfs byte-identity against the recorded
-paper-suite baselines, cross-jobs determinism of every scheduler,
-checkpoint/resume equivalence per scheduler, the scheduler fault site,
-and scheduler identity in campaign job keys."""
+name resolution and rejected legacy keys, dfs byte-identity against the
+recorded paper-suite baselines, checkpoint/resume equivalence per
+scheduler, the scheduler fault site, and scheduler identity in campaign
+job keys."""
 
 import json
 import os
@@ -65,12 +65,10 @@ def chain_search(
     scheduler="dfs",
     checkpoint_dir=None,
     resume_from=None,
-    jobs=1,
     max_runs=60,
 ):
     config = SearchConfig(
         max_runs=max_runs,
-        jobs=jobs,
         scheduler=scheduler,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=2,
@@ -101,18 +99,10 @@ class TestSchedulerRegistry:
         with pytest.raises(ReproError, match="coverage, dfs, generational"):
             SearchConfig(scheduler="random").validate()
 
-    def test_from_options_maps_deprecated_frontier_values(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fifo = SearchConfig.from_options(frontier="fifo")
-            cov = SearchConfig.from_options(frontier="coverage")
-            pol = SearchConfig.from_options(frontier_policy="fifo")
-        assert fifo.scheduler == "dfs"
-        assert cov.scheduler == "generational"
-        assert pol.scheduler == "dfs"
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
+    def test_from_options_rejects_removed_frontier_keys(self):
+        for key in ("frontier", "frontier_policy"):
+            with pytest.raises(TypeError, match=f"option '{key}'"):
+                SearchConfig.from_options(**{key: "fifo"})
 
     def test_from_options_native_scheduler_is_silent(self):
         with warnings.catch_warnings():
@@ -139,17 +129,6 @@ class TestDfsBaselines:
 
 
 class TestSchedulerDeterminism:
-    @pytest.mark.parametrize("scheduler", ["dfs", "generational", "coverage"])
-    def test_digest_identical_across_jobs(self, scheduler):
-        digests = []
-        for jobs in (1, 2):
-            with use_cache(None):
-                result = chain_search(scheduler=scheduler, jobs=jobs).run(
-                    dict(CHAIN_SEED)
-                )
-            digests.append(suite_digest(result))
-        assert digests[0] == digests[1]
-
     def test_schedulers_explore_same_chain_but_may_order_differently(self):
         results = {}
         for scheduler in scheduler_names():
@@ -164,31 +143,34 @@ class TestSchedulerDeterminism:
 
 class TestSchedulerResume:
     @pytest.mark.parametrize("scheduler", ["dfs", "generational", "coverage"])
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("cycles", [1, 2])
     @pytest.mark.parametrize("kill_at", [2, 5])
     def test_resumed_suite_matches_uninterrupted(
-        self, tmp_path, scheduler, jobs, kill_at
+        self, tmp_path, scheduler, cycles, kill_at
     ):
         with use_cache(None):
-            baseline = chain_search(scheduler=scheduler, jobs=jobs).run(
-                dict(CHAIN_SEED)
-            )
+            baseline = chain_search(scheduler=scheduler).run(dict(CHAIN_SEED))
         expected = suite_digest(baseline)
 
         ckpt = str(tmp_path / "ckpt")
-        with use_fault_plan(FaultPlan.parse(f"kill:at={kill_at}")):
-            with pytest.raises(SearchInterrupted):
-                with use_cache(None):
-                    chain_search(
-                        scheduler=scheduler, checkpoint_dir=ckpt, jobs=jobs
-                    ).run(dict(CHAIN_SEED))
+        # one kill per cycle, three runs apart; later cycles die while
+        # running from a resumed checkpoint
+        spec = "kill:at=" + "+".join(str(kill_at + 3 * n) for n in range(cycles))
+        for cycle in range(cycles):
+            with use_fault_plan(FaultPlan.parse(spec)):
+                with pytest.raises(SearchInterrupted):
+                    with use_cache(None):
+                        chain_search(
+                            scheduler=scheduler,
+                            checkpoint_dir=ckpt,
+                            resume_from=ckpt if cycle else None,
+                        ).run(dict(CHAIN_SEED))
 
         with use_cache(None):
             resumed = chain_search(
                 scheduler=scheduler,
                 checkpoint_dir=ckpt,
                 resume_from=ckpt,
-                jobs=jobs,
             ).run(dict(CHAIN_SEED))
         assert resumed.replayed_decisions > 0
         assert suite_digest(resumed) == expected

@@ -124,7 +124,7 @@ class TestServiceState:
         payload = _spec().as_payload()
         base = submission_ticket(payload, {}, "t")
         assert submission_ticket(payload, {}, "t") == base
-        assert submission_ticket(payload, {"jobs": 2}, "t") != base
+        assert submission_ticket(payload, {"scheduler": "coverage"}, "t") != base
         assert submission_ticket(payload, {}, "u") != base
 
 
@@ -224,6 +224,26 @@ class TestServiceEndToEnd:
         assert ha.result().campaign_digest == baseline_a.campaign_digest
         assert hb.result().campaign_digest == baseline_b.campaign_digest
         assert ha.status() == hb.status() == "done"
+
+    def test_legacy_jobs_option_still_activates(self, tmp_path, capsys):
+        """A submission queued by a release that still had ``--jobs``
+        records ``options={"jobs": N}``; the scheduler no longer reads
+        the key, so the campaign runs as if it were absent."""
+        from repro.cli.main import main
+        from repro.engine.planner import resolve_spec
+
+        state_dir = str(tmp_path / "state")
+        record, _ = ServiceState(state_dir).submit(
+            resolve_spec("paper").as_payload(), options={"jobs": 2}
+        )
+        assert main(["stats", state_dir]) == 0
+        assert "queued" in capsys.readouterr().out
+        _serve_until_idle(state_dir)
+        handle = ServiceClient(state_dir).handle(record.ticket)
+        assert handle.status() == "done"
+        assert handle.result().campaign_digest.startswith("fa94767d")
+        assert main(["stats", state_dir]) == 0
+        assert "[service]" in capsys.readouterr().out
 
     def test_results_survive_server_exit_and_restart(self, tmp_path):
         client = ServiceClient(str(tmp_path / "state"))
