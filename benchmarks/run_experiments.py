@@ -249,7 +249,7 @@ def campaign_bench(path, workers=2, repeats=3):
     import statistics
     import tempfile
 
-    from repro.api import CampaignSpec, run_campaign
+    from repro.api import CampaignSpec, Client
 
     spec = CampaignSpec.paper_suite(
         strategies=["higher_order", "unsound", "sound"], max_runs=40
@@ -257,7 +257,7 @@ def campaign_bench(path, workers=2, repeats=3):
 
     def measure(**kwargs):
         start = time.perf_counter()
-        report = run_campaign(spec, **kwargs)
+        report = Client(**kwargs).submit(spec).wait()
         return time.perf_counter() - start, report
 
     rounds = {"serial": [], "pooled": [], "disk_cold": [], "disk_warm": []}
@@ -445,158 +445,6 @@ def scheduler_bench(path, repeats=3):
     print(f"BENCH JSON written to {path}")
 
 
-def exec_backend_bench(path, repeats=3):
-    """PR 7 execution-core benchmark: tree walker vs bytecode VM.
-
-    Measures three things and writes ``BENCH_pr7.json``:
-
-    - **end-to-end campaign** — the paper-example campaign under each
-      ``exec_backend``; the campaign digests must be byte-identical
-      (the VM is answer-preserving) while the bytecode arm is faster.
-    - **concrete throughput** — a branch-dense mixed workload (the same
-      shape ``benchmarks/exec_backend_gate.py`` gates on) interpreted
-      under each backend; this isolates raw dispatch cost from solver
-      time.
-    - **compile cache** — compiling every paper-example program cold
-      (empty cache) vs warm (second compile of identical source); warm
-      compiles are near-free, so per-run compile cost amortizes to zero
-      across a campaign.
-
-    Timings are medians over ``repeats`` interleaved rounds; arms
-    alternate within each round so frequency drift cannot favour one.
-    """
-    import statistics
-
-    from repro.api import CampaignSpec, run_campaign
-    from repro.lang import (
-        Interpreter,
-        clear_compile_cache,
-        compile_program,
-        parse_program,
-    )
-
-    spec = CampaignSpec.paper_suite(
-        strategies=["higher_order", "unsound"], max_runs=40
-    )
-    mixed = parse_program(
-        """
-        int twist(int x) { return x * 2 + 1; }
-        int fold(int x) { return twist(x) - 3; }
-        int main(int n) {
-            int a; int b; int acc; int i;
-            a = 0; b = 1; acc = 0; i = 0;
-            while (i < n) {
-                if (i % 2 == 0) { acc = acc + i; } else { acc = acc - 1; }
-                if (acc > 100) { acc = acc - 50; }
-                a = a + b;
-                b = a - b;
-                if (a > 1000) { a = a % 997; }
-                if (a < b) { a = a + 2; } else { b = b + 3; }
-                acc = acc + fold(i) % 13;
-                i = i + 1;
-            }
-            return acc + a + b;
-        }
-        """
-    )
-    sources = [ex.program() for ex in PAPER_EXAMPLES.values()]
-
-    rounds = {
-        "campaign_tree": [], "campaign_bytecode": [],
-        "exec_tree": [], "exec_bytecode": [],
-        "compile_cold": [], "compile_warm": [],
-    }
-    digests = {}
-    exec_outcomes = set()
-    for round_index in range(repeats):
-        backends = (
-            ("tree", "bytecode") if round_index % 2 == 0
-            else ("bytecode", "tree")
-        )
-        for backend in backends:
-            start = time.perf_counter()
-            report = run_campaign(spec, exec_backend=backend)
-            rounds[f"campaign_{backend}"].append(time.perf_counter() - start)
-            digests[backend] = report.campaign_digest
-        for backend in backends:
-            interp = Interpreter(
-                mixed, step_budget=100_000_000, backend=backend
-            )
-            interp.run("main", {"n": 200})  # warm the compile cache
-            start = time.perf_counter()
-            res = interp.run("main", {"n": 20000})
-            rounds[f"exec_{backend}"].append(time.perf_counter() - start)
-            exec_outcomes.add((res.returned, res.steps))
-        clear_compile_cache()
-        start = time.perf_counter()
-        for program in sources:
-            program._bytecode = None  # drop the per-Program memo too
-            compile_program(program)
-        rounds["compile_cold"].append(time.perf_counter() - start)
-        start = time.perf_counter()
-        for program in sources:
-            program._bytecode = None  # warm = global digest-cache hit
-            compile_program(program)
-        rounds["compile_warm"].append(time.perf_counter() - start)
-
-    assert len(set(digests.values())) == 1, (
-        f"campaign digests diverged across execution backends: {digests}"
-    )
-    assert len(exec_outcomes) == 1, (
-        f"mixed-workload outcomes diverged across backends: {exec_outcomes}"
-    )
-    payload = {
-        "generator": "benchmarks/run_experiments.py --pr7",
-        "suite": "paper examples x (higher_order, unsound)",
-        "repeats": repeats,
-        "campaign_digest": digests["bytecode"],
-        "digests_identical": True,
-        "cpu_count": os.cpu_count(),
-    }
-    for label, samples in rounds.items():
-        payload[f"{label}_seconds"] = round(statistics.median(samples), 6)
-    payload["campaign_speedup"] = round(
-        payload["campaign_tree_seconds"]
-        / max(payload["campaign_bytecode_seconds"], 1e-9),
-        3,
-    )
-    payload["exec_speedup"] = round(
-        payload["exec_tree_seconds"]
-        / max(payload["exec_bytecode_seconds"], 1e-9),
-        3,
-    )
-    payload["compile_warm_vs_cold_speedup"] = round(
-        payload["compile_cold_seconds"]
-        / max(payload["compile_warm_seconds"], 1e-9),
-        3,
-    )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("## PR 7 execution-core benchmark")
-    print()
-    print("| measurement | tree (s) | bytecode (s) | speedup |")
-    print("|---|---|---|---|")
-    print(
-        f"| paper campaign | {payload['campaign_tree_seconds']:.3f} | "
-        f"{payload['campaign_bytecode_seconds']:.3f} | "
-        f"{payload['campaign_speedup']}x |"
-    )
-    print(
-        f"| mixed concrete workload | {payload['exec_tree_seconds']:.3f} | "
-        f"{payload['exec_bytecode_seconds']:.3f} | "
-        f"{payload['exec_speedup']}x |"
-    )
-    print()
-    print(
-        f"compile cache: cold {payload['compile_cold_seconds']:.4f}s, warm "
-        f"{payload['compile_warm_seconds']:.4f}s "
-        f"({payload['compile_warm_vs_cold_speedup']}x); digest "
-        f"{payload['campaign_digest'][:16]}... identical across backends"
-    )
-    print(f"BENCH JSON written to {path}")
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -635,25 +483,12 @@ def main(argv=None):
             "BENCH JSON to FILE"
         ),
     )
-    parser.add_argument(
-        "--pr7",
-        default=None,
-        metavar="FILE",
-        help=(
-            "run the execution-core benchmark (tree walker vs bytecode "
-            "VM, cold vs warm compile cache) and write its BENCH JSON "
-            "to FILE"
-        ),
-    )
     args = parser.parse_args(argv)
     if args.pr4 is not None:
         campaign_bench(args.pr4, workers=args.workers)
         return
     if args.pr5 is not None:
         scheduler_bench(args.pr5)
-        return
-    if args.pr7 is not None:
-        exec_backend_bench(args.pr7)
         return
     cache = None if args.no_cache else QueryCache()
     if args.json is None:

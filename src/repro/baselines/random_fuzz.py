@@ -65,10 +65,6 @@ class RandomFuzzer:
     def run(self, max_runs: int = 1000, stop_on_first_error: bool = False) -> FuzzResult:
         rng = random.Random(self.seed)
         interp = Interpreter(self.program, self.natives, backend=self.exec_backend)
-        if self.exec_backend == "bytecode":
-            from ..lang.bytecode import compile_program
-
-            compile_program(self.program)  # compile once, not per input
         params = self.program.function(self.entry).params
         result = FuzzResult(coverage=BranchCoverage(self.program))
         seen_paths = set()

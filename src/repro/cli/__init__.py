@@ -1,7 +1,7 @@
 """Command-line interface: test a MiniC program from the shell.
 
 Every subcommand is a thin wrapper over the :mod:`repro.api` facade
-(:func:`repro.api.generate_tests`, :func:`repro.api.run_campaign`,
+(:func:`repro.api.generate_tests`, :class:`repro.api.Client`,
 :func:`repro.api.replay`), so library and shell users hit identical code
 paths.  One module per subcommand:
 
@@ -55,22 +55,3 @@ from __future__ import annotations
 from .main import build_parser, main
 
 __all__ = ["main", "build_parser"]
-
-
-def __getattr__(name: str):
-    # suite_digest lived here through PR 3; it is library functionality
-    # and moved to repro.search.report with the facade work
-    if name == "suite_digest":
-        import warnings
-
-        from ..search.report import suite_digest
-
-        warnings.warn(
-            "repro.cli.suite_digest moved to repro.search.report.suite_digest "
-            "(also exported as repro.api.suite_digest); the repro.cli alias "
-            "will be removed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return suite_digest
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

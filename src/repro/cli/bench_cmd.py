@@ -39,7 +39,6 @@ def cmd_bench(args) -> int:
             config=SearchConfig.from_options(
                 max_runs=args.max_runs,
                 scheduler=args.scheduler,
-                exec_backend=args.exec_backend,
             ),
         )
 
@@ -50,7 +49,6 @@ def cmd_bench(args) -> int:
     payload = {
         "program": os.path.basename(args.program),
         "mode": args.mode,
-        "exec_backend": args.exec_backend,
         "cache": not args.no_cache,
         "cache_dir": getattr(args, "cache_dir", None),
         "disk_hits": disk.hits if disk is not None else 0,
@@ -122,12 +120,6 @@ def register(sub) -> None:
         default="dfs",
         choices=list(scheduler_names()),
         help="frontier scheduler (see 'run --scheduler')",
-    )
-    bench.add_argument(
-        "--exec-backend",
-        default="bytecode",
-        choices=["tree", "bytecode"],
-        help="execution core (see 'run --exec-backend')",
     )
     bench.add_argument(
         "--no-cache",

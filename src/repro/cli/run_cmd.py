@@ -58,7 +58,6 @@ def cmd_run(args) -> int:
                     checkpoint_dir=checkpoint_dir,
                     checkpoint_every=args.checkpoint_every,
                     resume_from=args.resume,
-                    exec_backend=args.exec_backend,
                     job_deadline=args.job_deadline,
                     seed_corpus=seed_corpus,
                 ),
@@ -118,15 +117,6 @@ def register(sub) -> None:
         help=(
             "frontier scheduler: dfs (paper order), generational "
             "(SAGE-style), coverage (flip-target guided); see docs/SEARCH.md"
-        ),
-    )
-    run.add_argument(
-        "--exec-backend",
-        default="bytecode",
-        choices=["tree", "bytecode"],
-        help=(
-            "execution core: bytecode (compiled register VM, default) or "
-            "tree (recursive AST walk); suites are byte-identical"
         ),
     )
     run.add_argument("--corpus", default=None, help="save generated tests to JSON")

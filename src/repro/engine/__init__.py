@@ -7,7 +7,7 @@ package distributes whole search jobs over worker **processes** instead —
 the standard recipe for scaling concolic testing to program suites.
 
 Three stages, composable or driven together by
-:func:`repro.api.run_campaign` / ``repro campaign``:
+:class:`repro.api.Client` / ``repro campaign``:
 
 - :class:`~repro.engine.planner.BatchPlanner` expands a declarative
   :class:`~repro.engine.planner.CampaignSpec` (TOML/JSON file, the

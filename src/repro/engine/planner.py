@@ -216,21 +216,18 @@ class CampaignSpec:
     def with_overrides(
         self,
         scheduler: Optional[str] = None,
-        exec_backend: Optional[str] = None,
         job_deadline: Optional[float] = None,
     ) -> "CampaignSpec":
         """A copy with CLI-style overrides folded in; never mutates self.
 
-        ``scheduler`` replaces the scheduler list wholesale; the rest
-        land in ``config`` where every job's SearchConfig picks them up
-        (``job_deadline`` is also what the supervisor's parent-side
-        defensive timeout keys off).
+        ``scheduler`` replaces the scheduler list wholesale;
+        ``job_deadline`` lands in ``config`` where every job's
+        SearchConfig picks it up (it is also what the supervisor's
+        parent-side defensive timeout keys off).
         """
-        if scheduler is None and exec_backend is None and job_deadline is None:
+        if scheduler is None and job_deadline is None:
             return self
         overrides: Dict[str, object] = {}
-        if exec_backend is not None:
-            overrides["exec_backend"] = exec_backend
         if job_deadline is not None:
             overrides["job_deadline"] = float(job_deadline)
         return CampaignSpec(

@@ -149,14 +149,11 @@ class TestCorpus:
 
         A mismatch means the program's behaviour changed since the corpus
         was recorded — a regression (or a fix) worth inspecting.  One
-        executor is built (and the program compiled) once, outside the
-        per-entry loop.
+        executor is built outside the per-entry loop.  ``exec_backend``
+        selects the execution core; ``"tree"`` replays on the reference
+        walker.
         """
         interp = Interpreter(program, natives, backend=exec_backend)
-        if exec_backend == "bytecode":
-            from ..lang.bytecode import compile_program
-
-            compile_program(program)  # compile once, not per entry
         report = ReplayReport()
         for entry in self._entries:
             run = interp.run(entry_fn, entry.input_dict())

@@ -76,10 +76,6 @@ class SearchConfig:
     stop_on_first_error: bool = False
     #: per-strategy budget of intermediate multi-step runs
     max_multistep_probes: int = 4
-    #: skip generating an input vector that was already executed
-    dedupe_inputs: bool = True
-    #: give up expanding a single run beyond this many conditions
-    max_conditions_per_run: int = 64
     #: frontier scheduler (see :mod:`repro.search.scheduler`): "dfs"
     #: (classic generational order, the reproducibility baseline),
     #: "generational" (SAGE-style: expand the run that covered the most
@@ -93,20 +89,12 @@ class SearchConfig:
     checkpoint_every: int = 20
     #: checkpoint directory to resume from (replays its decision log)
     resume_from: Optional[str] = None
-    #: budget multiplier for the end-of-search retry of deferred flips
-    defer_scale: float = 4.0
     #: wall-clock budget (seconds) for one search session; 0 disables.
     #: Enforced cooperatively at the kernel's run boundaries: on expiry
     #: the session raises :class:`~repro.errors.DeadlineExceeded` (a
     #: :class:`~repro.errors.SearchInterrupted`), so the partial suite is
     #: salvaged and — under a campaign supervisor — the job is retried
     job_deadline: float = 0.0
-    #: execution core: "bytecode" compiles the program once and runs both
-    #: the concrete and symbolic sides off a flat instruction stream
-    #: (:mod:`repro.lang.bytecode`); "tree" keeps the recursive AST walk
-    #: as the differential reference.  Suites and digests are byte-
-    #: identical between the two (CI-gated).
-    exec_backend: str = "bytecode"
     #: extra seed input vectors executed right after the primary seed,
     #: before any flipping (cross-campaign corpus seeding: the engine
     #: fills this from the shared store's ``corpus/`` namespace when
@@ -149,25 +137,13 @@ class SearchConfig:
             raise ReproError(
                 f"checkpoint_every must be >= 1 (got {self.checkpoint_every})"
             )
-        if self.max_conditions_per_run < 1:
-            raise ReproError(
-                "max_conditions_per_run must be >= 1 "
-                f"(got {self.max_conditions_per_run})"
-            )
         if self.max_multistep_probes < 0:
             raise ReproError(
                 f"max_multistep_probes must be >= 0 (got {self.max_multistep_probes})"
             )
-        if self.defer_scale <= 0:
-            raise ReproError(f"defer_scale must be > 0 (got {self.defer_scale})")
         if self.job_deadline < 0:
             raise ReproError(
                 f"job_deadline must be >= 0 (got {self.job_deadline})"
-            )
-        if self.exec_backend not in ("tree", "bytecode"):
-            raise ReproError(
-                f"unknown exec_backend {self.exec_backend!r} "
-                "(allowed: tree, bytecode)"
             )
         try:
             self.seed_corpus = tuple(
@@ -385,13 +361,7 @@ class DirectedSearch:
         from ..core.hotg import HigherOrderBackend
 
         tm = manager if manager is not None else TermManager()
-        engine = ConcolicEngine(
-            program,
-            natives,
-            mode,
-            tm,
-            exec_backend=(config or SearchConfig()).exec_backend,
-        )
+        engine = ConcolicEngine(program, natives, mode, tm)
         store = store if store is not None else SampleStore()
         if mode is ConcretizationMode.HIGHER_ORDER:
             backend: TestGenBackend = HigherOrderBackend(

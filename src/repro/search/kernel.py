@@ -78,6 +78,11 @@ from .scheduler import FrontierItem, FrontierScheduler
 
 __all__ = ["SearchKernel", "SearchState"]
 
+#: a single run is expanded at no more than this many conditions
+MAX_CONDITIONS_PER_RUN = 64
+#: budget multiplier for the end-of-search retry of deferred flips
+DEFER_SCALE = 4.0
+
 #: sentinel: the flip was queued for the end-of-search retry phase
 _DEFERRED = object()
 #: sentinel: the run budget is gone; end the search gracefully
@@ -327,10 +332,7 @@ class SearchKernel:
         for vector in self.config.seed_corpus:
             if result.runs >= self.config.max_runs or state.stop:
                 break
-            if (
-                self.config.dedupe_inputs
-                and self._input_key(vector) in state.seen_inputs
-            ):
+            if self._input_key(vector) in state.seen_inputs:
                 continue
             record = self.execute(dict(vector), parent=None, flipped=None)
             if record is None:
@@ -351,7 +353,7 @@ class SearchKernel:
             flips = [
                 i
                 for i in negatable_indices(record.result.path_conditions)
-                if i >= start and i < self.config.max_conditions_per_run
+                if start <= i < MAX_CONDITIONS_PER_RUN
             ]
         self._observe_stage("derive", span.elapsed)
         return flips
@@ -706,7 +708,7 @@ class SearchKernel:
             return
         result = self.result
         obs = self.obs
-        escalated = DEFAULT_BUDGET.scaled(self.config.defer_scale)
+        escalated = DEFAULT_BUDGET.scaled(DEFER_SCALE)
         queue, self.state.deferred = self.state.deferred, []
         for record, i, request in queue:
             if result.runs >= self.config.max_runs:
@@ -785,7 +787,7 @@ class SearchKernel:
             note=generated.note,
         )
         key = self._input_key(generated.inputs)
-        if self.config.dedupe_inputs and key in state.seen_inputs:
+        if key in state.seen_inputs:
             return None
         child = self.execute(
             generated.inputs, parent=record.index, flipped=i
@@ -1006,10 +1008,7 @@ class SearchKernel:
         strategy gracefully, preserving the partial result.
         """
         self._probe_log.append(dict(inputs))
-        if (
-            self.config.dedupe_inputs
-            and self._input_key(inputs) in self.state.seen_inputs
-        ):
+        if self._input_key(inputs) in self.state.seen_inputs:
             return
         if self.result.runs >= self.config.max_runs:
             raise RunBudgetExhausted("run budget exhausted during multi-step probe")

@@ -44,20 +44,15 @@ def minimize_error_inputs(
     natives: Optional[NativeRegistry] = None,
     targets: Optional[Dict[str, int]] = None,
     max_runs: int = 200,
-    exec_backend: str = "bytecode",
 ) -> MinimizationResult:
     """Shrink ``inputs`` while preserving the error they trigger.
 
     ``targets`` gives per-variable shrink destinations (default 0).  The
     same error *message and line* must persist — minimization never trades
-    one bug for another.  One executor is built (and the program
-    compiled) once for the whole shrink loop.
+    one bug for another.  One executor is built for the whole shrink
+    loop.
     """
-    interp = Interpreter(program, natives, backend=exec_backend)
-    if exec_backend == "bytecode":
-        from ..lang.bytecode import compile_program
-
-        compile_program(program)  # compile once, not per trial run
+    interp = Interpreter(program, natives)
     baseline = interp.run(entry, dict(inputs))
     if not baseline.error:
         raise ValueError("minimize_error_inputs requires error-triggering inputs")

@@ -145,7 +145,6 @@ class ServiceScheduler(JobLeaseSource):
         try:
             spec = CampaignSpec.from_payload(record.spec).with_overrides(
                 scheduler=record.options.get("scheduler"),  # type: ignore[arg-type]
-                exec_backend=record.options.get("exec_backend"),  # type: ignore[arg-type]
                 job_deadline=record.options.get("job_deadline"),  # type: ignore[arg-type]
             )
             jobs = BatchPlanner().expand(spec)

@@ -9,7 +9,6 @@ reaches a user.
 
 import json
 import os
-import warnings
 
 import pytest
 
@@ -111,8 +110,8 @@ class TestGenerateTests:
 class TestRunCampaign:
     def test_digest_identical_across_worker_counts(self):
         spec = _tiny_spec()
-        serial = api.run_campaign(spec, workers=1)
-        pooled = api.run_campaign(spec, workers=2)
+        serial = api.Client(workers=1).submit(spec).wait()
+        pooled = api.Client(workers=2).submit(spec).wait()
         assert len(serial.jobs) == 4
         assert serial.campaign_digest == pooled.campaign_digest
         assert [j.key for j in serial.jobs] == [j.key for j in pooled.jobs]
@@ -120,8 +119,8 @@ class TestRunCampaign:
     def test_disk_cache_warm_run_hits(self, tmp_path):
         spec = _tiny_spec()
         cache_dir = str(tmp_path / "cache")
-        cold = api.run_campaign(spec, workers=1, cache_dir=cache_dir)
-        warm = api.run_campaign(spec, workers=1, cache_dir=cache_dir)
+        cold = api.Client(workers=1, cache_dir=cache_dir).submit(spec).wait()
+        warm = api.Client(workers=1, cache_dir=cache_dir).submit(spec).wait()
         assert cold.campaign_digest == warm.campaign_digest
         assert cold.cache_totals()["disk_stores"] > 0
         totals = warm.cache_totals()
@@ -130,8 +129,10 @@ class TestRunCampaign:
 
     def test_worker_proc_kill_is_contained_and_digest_stable(self):
         spec = _tiny_spec()
-        clean = api.run_campaign(spec, workers=1)
-        chaotic = api.run_campaign(spec, workers=1, fault_plan="worker-proc:at=1")
+        clean = api.Client(workers=1).submit(spec).wait()
+        chaotic = api.Client(
+            workers=1, fault_plan="worker-proc:at=1"
+        ).submit(spec).wait()
         assert chaotic.killed_workers == 1
         assert sum(1 for j in chaotic.jobs if j.killed_worker) == 1
         assert chaotic.campaign_digest == clean.campaign_digest
@@ -139,9 +140,9 @@ class TestRunCampaign:
     def test_checkpoint_resume_skips_finished_jobs(self, tmp_path):
         spec = _tiny_spec()
         ckpt = str(tmp_path / "ckpt")
-        first = api.run_campaign(spec, workers=1, checkpoint=ckpt)
+        first = api.Client(workers=1).submit(spec, checkpoint=ckpt).wait()
         assert first.resumed_jobs == 0
-        second = api.run_campaign(spec, workers=1, checkpoint=ckpt)
+        second = api.Client(workers=1).submit(spec, checkpoint=ckpt).wait()
         assert second.resumed_jobs == len(first.jobs)
         assert second.campaign_digest == first.campaign_digest
 
@@ -239,7 +240,6 @@ class TestSurfaceContracts:
     def test_api_all_snapshot(self):
         assert api.__all__ == [
             "generate_tests",
-            "run_campaign",
             "replay",
             "Client",
             "CampaignHandle",
@@ -259,7 +259,7 @@ class TestSurfaceContracts:
         ]
         for name in api.__all__:
             assert getattr(api, name) is not None
-        for name in ("generate_tests", "run_campaign", "replay", "api"):
+        for name in ("generate_tests", "replay", "api"):
             assert hasattr(repro, name)
 
     def test_campaign_help_flag_snapshot(self, capsys):
@@ -287,23 +287,18 @@ class TestSurfaceContracts:
     def test_from_options_rejects_removed_spellings(self):
         for key in (
             "stop_on_error", "threads", "frontier", "frontier_policy",
-            "checkpoint", "resume", "jobs",
+            "checkpoint", "resume", "jobs", "exec_backend", "dedupe_inputs",
+            "max_conditions_per_run", "defer_scale",
         ):
             with pytest.raises(TypeError, match=f"option '{key}'"):
                 SearchConfig.from_options(**{key: 1})
 
-    def test_cli_suite_digest_alias_warns_but_works(self):
+    def test_cli_suite_digest_alias_is_removed(self):
         import repro.cli as cli
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            alias = cli.suite_digest
-        assert alias is suite_digest
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
+        assert api.suite_digest is suite_digest
         with pytest.raises(AttributeError):
-            cli.no_such_attribute
+            cli.suite_digest
 
     def test_campaign_cli_end_to_end(self, tmp_path, capsys):
         code = main(["campaign", "paper", "--quiet", "--expect-errors"])

@@ -167,6 +167,10 @@ class TestCli:
             ["bench", program_file, "--jobs", "2"],
             ["campaign", "paper", "--jobs", "2"],
             ["submit", "--state-dir", state_dir, "paper", "--jobs", "2"],
+            ["run", program_file, "--exec-backend", "tree"],
+            ["bench", program_file, "--exec-backend", "tree"],
+            ["campaign", "paper", "--exec-backend", "tree"],
+            ["submit", "--state-dir", state_dir, "paper", "--exec-backend", "tree"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)

@@ -14,15 +14,19 @@ contract:
    ``StepBudgetExceeded`` fires at the same step count in both cores;
 3. handcrafted crash cases (division by zero, array misuse, undeclared
    reads, arity errors) asserting identical error messages and lines;
-4. end-to-end: the directed search's suite digest is identical across
-   ``exec_backend`` values;
+4. end-to-end: every paper example's directed-search suite digest equals
+   its recorded baseline on both cores;
 5. the compile cache: per-source memoization with hit/miss accounting.
 """
 
+import json
+import os
 import random
+from functools import partial
 
 import pytest
 
+import repro.search.directed
 from repro import api
 from repro.apps.paper_programs import PAPER_EXAMPLES, make_paper_natives
 from repro.errors import InterpError, StepBudgetExceeded
@@ -36,9 +40,13 @@ from repro.lang import (
 from repro.lang.randprog import generate_program
 from repro.search.report import suite_digest
 from repro.solver import TermManager
+from repro.solver.cache import use_cache
 from repro.symbolic import ConcolicEngine, ConcretizationMode
 
 GRID = [-3, 0, 1, 33, 567]
+BASELINES_PATH = os.path.join(
+    os.path.dirname(__file__), "..", "benchmarks", "paper_suite_digests.json"
+)
 
 
 def concrete_snapshot(res):
@@ -280,20 +288,38 @@ def test_step_budget_trips_at_same_count():
     assert tripped[0] == "raise" and tripped[1] == "StepBudgetExceeded"
 
 
-def test_suite_digest_identical_across_backends():
-    ex = PAPER_EXAMPLES["foo"]
-    digests = []
-    for backend in ("tree", "bytecode"):
-        result = api.generate_tests(
-            ex.program(),
-            entry=ex.entry,
-            strategy="hotg",
-            natives=make_paper_natives(),
-            seed=dict(ex.initial_inputs),
-            config={"max_runs": 40, "exec_backend": backend},
-        )
-        digests.append(suite_digest(result))
-    assert digests[0] == digests[1]
+def test_suite_digest_identical_across_backends(monkeypatch):
+    """Every paper example, searched the way ``repro campaign paper``
+    runs it (HOTG, dfs, 40 runs), gives the recorded suite digest on
+    both execution cores.  The search always builds its engine with the
+    default core; the tree walker is swapped in underneath it."""
+    with open(BASELINES_PATH, "r", encoding="utf-8") as handle:
+        baselines = json.load(handle)
+
+    def digests():
+        out = {}
+        for name, ex in PAPER_EXAMPLES.items():
+            with use_cache(None):
+                result = api.generate_tests(
+                    ex.source,
+                    entry=ex.entry,
+                    strategy="hotg",
+                    natives=make_paper_natives(),
+                    seed=dict(ex.initial_inputs),
+                    config={"max_runs": 40, "scheduler": "dfs"},
+                )
+            out[name] = suite_digest(result)
+        return out
+
+    expected = {name: baselines[name] for name in PAPER_EXAMPLES}
+    assert len(expected) == 8
+    assert digests() == expected
+    monkeypatch.setattr(
+        repro.search.directed,
+        "ConcolicEngine",
+        partial(ConcolicEngine, exec_backend="tree"),
+    )
+    assert digests() == expected
 
 
 def test_compile_cache_memoizes_per_source():
@@ -318,7 +344,3 @@ def test_unknown_backend_rejected():
         Interpreter(program, backend="ast")
     with pytest.raises(InterpError):
         ConcolicEngine(program, None, exec_backend="walker")
-    from repro.search import SearchConfig
-
-    with pytest.raises(Exception):
-        SearchConfig(exec_backend="walker").validate()

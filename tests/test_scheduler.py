@@ -259,7 +259,9 @@ class TestCampaignSchedulers:
             BatchPlanner().expand(self._spec(["dfs", "dfs"]))
 
     def test_run_campaign_scheduler_override(self):
-        report = api.run_campaign(self._spec(["dfs"]), scheduler="generational")
+        report = api.Client().submit(
+            self._spec(["dfs"]), scheduler="generational"
+        ).wait()
         assert len(report.jobs) == 1
         job = report.jobs[0]
         assert job.key.endswith("//generational")

@@ -225,16 +225,22 @@ class TestServiceEndToEnd:
         assert hb.result().campaign_digest == baseline_b.campaign_digest
         assert ha.status() == hb.status() == "done"
 
-    def test_legacy_jobs_option_still_activates(self, tmp_path, capsys):
-        """A submission queued by a release that still had ``--jobs``
-        records ``options={"jobs": N}``; the scheduler no longer reads
-        the key, so the campaign runs as if it were absent."""
+    @pytest.mark.parametrize(
+        "options",
+        [{"jobs": 2}, {"exec_backend": "tree"}],
+        ids=["jobs", "exec_backend"],
+    )
+    def test_legacy_jobs_option_still_activates(self, tmp_path, capsys, options):
+        """A submission queued by a release that still had ``--jobs`` or
+        ``--exec-backend`` records that option (``{"jobs": N}``,
+        ``{"exec_backend": name}``); the scheduler no longer reads the
+        key, so the campaign runs as if it were absent."""
         from repro.cli.main import main
         from repro.engine.planner import resolve_spec
 
         state_dir = str(tmp_path / "state")
         record, _ = ServiceState(state_dir).submit(
-            resolve_spec("paper").as_payload(), options={"jobs": 2}
+            resolve_spec("paper").as_payload(), options=options
         )
         assert main(["stats", state_dir]) == 0
         assert "queued" in capsys.readouterr().out
@@ -340,24 +346,13 @@ class TestClientApi:
         with pytest.raises(ReproError):
             api.Client().handle("f" * 64)
 
-    def test_run_campaign_is_deprecated_thin_wrapper(self):
-        import warnings
+    def test_run_campaign_is_removed(self):
+        import repro
 
-        api._DEPRECATED_ONCE.discard("run_campaign")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = api.run_campaign(_spec(max_runs=10))
-            api.run_campaign(_spec(max_runs=10))
-        assert (
-            sum(
-                issubclass(w.category, DeprecationWarning)
-                and "run_campaign" in str(w.message)
-                for w in caught
-            )
-            == 1  # one-shot per process
-        )
-        direct = api.Client().submit(_spec(max_runs=10)).wait()
-        assert legacy.campaign_digest == direct.campaign_digest
+        with pytest.raises(AttributeError):
+            api.run_campaign
+        with pytest.raises(AttributeError):
+            repro.run_campaign
 
     def test_client_checkpoint_resume_skips_finished_jobs(self, tmp_path):
         ckpt = str(tmp_path / "ckpt")
