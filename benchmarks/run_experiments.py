@@ -24,7 +24,8 @@ from repro.apps import build_lexer_program, build_table_lexer_program, codes_to_
 from repro.apps.paper_programs import PAPER_EXAMPLES, make_paper_natives
 from repro.baselines import RandomFuzzer, StaticTestGenerator
 from repro.core import SampleStore
-from repro.obs import MetricsRegistry, use_registry
+from repro.context import use_context
+from repro.obs import MetricsRegistry
 from repro.search import DirectedSearch, SearchConfig
 from repro.solver import TermManager
 from repro.solver.cache import QueryCache, use_cache
@@ -497,7 +498,7 @@ def main(argv=None):
         return
     registry = MetricsRegistry()
     start = time.perf_counter()
-    with use_registry(registry), use_cache(cache):
+    with use_context(registry=registry, cache=cache):
         report()
     payload = {
         "generator": "benchmarks/run_experiments.py",

@@ -42,6 +42,7 @@ the compatibility promise documented in docs/API.md.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Union
@@ -57,7 +58,8 @@ from .engine.planner import (
 from .engine.runner import CampaignCheckpoint, JobResult, ProcessPoolRunner
 from .engine.supervisor import SupervisorConfig
 from .errors import ReproError, SearchInterrupted
-from .interrupt import clear_interrupt, interrupt_requested, request_interrupt
+from .context import current, use_context
+from .interrupt import StopRequest
 from .lang.ast import Program
 from .lang.natives import NativeRegistry
 from .lang.parser import parse_program
@@ -227,6 +229,12 @@ class _LocalHandle(CampaignHandle):
     interrupt contract are unchanged.  ``wait`` re-raises whatever the
     campaign raised (notably :class:`SearchInterrupted` on shutdown,
     preserving the CLI's exit-3 + resume-hint behaviour).
+
+    The thread runs in a copy of the submitter's run context
+    (:mod:`repro.context`) with a stop request of its own: ``cancel``
+    stops this campaign only, while a stop of the submitter's context
+    (a signal trapped by :func:`~repro.interrupt.trap_signals`) reaches
+    every campaign it launched.
     """
 
     def __init__(self, ticket: str, telemetry: Optional[str]) -> None:
@@ -234,7 +242,7 @@ class _LocalHandle(CampaignHandle):
         self._telemetry = telemetry
         self._report: Optional[CampaignReport] = None
         self._error: Optional[BaseException] = None
-        self._cancelled = False
+        self._stop = StopRequest(current().stop)
         #: results as they land, for telemetry-less stream_events
         self._landed: List[JobResult] = []
         self._streamed = 0
@@ -246,18 +254,16 @@ class _LocalHandle(CampaignHandle):
     def _start(self, execute: Callable[[], CampaignReport]) -> None:
         def _run() -> None:
             try:
-                self._report = execute()
+                with use_context(stop=self._stop):
+                    self._report = execute()
             except BaseException as exc:  # noqa: BLE001 - re-raised in wait()
                 self._error = exc
-            finally:
-                # a cancel() sets the process-wide interrupt flag; once
-                # this campaign has honoured it, clear it so the *next*
-                # campaign in this process starts clean
-                if self._cancelled and interrupt_requested() == "cancel":
-                    clear_interrupt()
 
         self._thread = threading.Thread(
-            target=_run, name=f"repro-campaign-{self.ticket[:12]}", daemon=True
+            target=contextvars.copy_context().run,
+            args=(_run,),
+            name=f"repro-campaign-{self.ticket[:12]}",
+            daemon=True,
         )
         self._thread.start()
 
@@ -307,8 +313,7 @@ class _LocalHandle(CampaignHandle):
     def cancel(self) -> bool:
         if not self._alive():
             return False
-        self._cancelled = True
-        request_interrupt("cancel")
+        self._stop.request("cancel")
         return True
 
     def stream_events(
@@ -454,7 +459,9 @@ class Client:
         The report's ``campaign_digest`` is byte-identical at every
         ``workers`` value, under retries, and — because job results are
         pure functions of the job and the solver cache — whether the
-        campaign ran alone or interleaved with others on a service
+        campaign ran alone, beside other local campaigns in this process
+        (each runs in its own run context: fault plan, registry, journal,
+        cache and stop request), or interleaved with others on a service
         fleet.
 
         Local mode validates and plans synchronously: a bad spec raises

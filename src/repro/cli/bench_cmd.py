@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 from .. import api
-from ..faults import use_fault_plan
+from ..context import use_context
 from ..obs import MetricsRegistry, Observability, Tracer
 from ..search import SearchConfig
 from ..search.scheduler import scheduler_names
@@ -20,7 +20,6 @@ def cmd_bench(args) -> int:
     import json as jsonlib
 
     from ..search.report import suite_digest
-    from ..solver.cache import use_cache
 
     program = common.load_program(args.program)
     entry = common.default_entry(program, args.entry)
@@ -28,7 +27,7 @@ def cmd_bench(args) -> int:
     cache = common.query_cache(args, enabled=not args.no_cache)
     registry = MetricsRegistry()
     obs = Observability(tracer=Tracer(), metrics=registry)
-    with use_cache(cache), use_fault_plan(common.fault_plan(args)):
+    with use_context(cache=cache, fault_plan=common.fault_plan(args)):
         result = api.generate_tests(
             program,
             entry=entry,

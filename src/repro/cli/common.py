@@ -9,9 +9,11 @@ thin wrapper over :mod:`repro.api`.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from typing import Dict, Optional
 
 from ..apps.hashes import standard_registry
+from ..context import use_context
 from ..errors import ReproError
 from ..faults import FaultPlan, NULL_PLAN
 from ..lang import NativeRegistry, parse_program
@@ -20,7 +22,6 @@ from ..obs import (
     Observability,
     RunJournal,
     Tracer,
-    set_default_registry,
 )
 
 __all__ = [
@@ -31,7 +32,7 @@ __all__ = [
     "default_entry",
     "seed_for",
     "CliObservability",
-    "null_context",
+    "run_context",
     "print_profile_tables",
     "fault_plan",
     "query_cache",
@@ -330,9 +331,8 @@ class CliObservability:
     """The journal/registry/obs bundle requested by the CLI flags.
 
     When collection is on, a fresh :class:`MetricsRegistry` is installed
-    as the process default (so the solver layers record into it) for the
-    lifetime of the ``with`` block; the previous default is restored and
-    the journal closed on exit.
+    as the run context's registry (so the solver layers record into it)
+    for the lifetime of the ``with`` block; the journal is closed on exit.
     """
 
     def __init__(self, args, force: bool = False) -> None:
@@ -341,7 +341,7 @@ class CliObservability:
         self.journal = RunJournal(trace) if trace else None
         self.registry: Optional[MetricsRegistry] = None
         self.obs: Optional[Observability] = None
-        self._old_registry: Optional[MetricsRegistry] = None
+        self._scope = ExitStack()
         if profile or self.journal is not None:
             self.registry = MetricsRegistry()
             self.obs = Observability(
@@ -352,20 +352,22 @@ class CliObservability:
 
     def __enter__(self) -> "CliObservability":
         if self.registry is not None:
-            self._old_registry = set_default_registry(self.registry)
+            self._scope.enter_context(use_context(registry=self.registry))
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        if self.registry is not None:
-            set_default_registry(self._old_registry)
+        self._scope.close()
         if self.journal is not None:
             self.journal.close()
 
 
-def null_context():
-    from contextlib import nullcontext
-
-    return nullcontext()
+def run_context(args, cache=None):
+    """Install the fault plan the flags ask for (and ``cache``, if given)
+    in the run context for the ``with`` block."""
+    slots: Dict[str, object] = {"fault_plan": fault_plan(args)}
+    if cache is not None:
+        slots["cache"] = cache
+    return use_context(**slots)
 
 
 def print_profile_tables(obs, registry) -> None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import os
 
 from .. import api
-from ..faults import use_fault_plan
 from ..interrupt import trap_signals
 from ..search import DirectedSearch, SearchConfig
 from ..search.corpus import TestCorpus
@@ -17,8 +16,6 @@ __all__ = ["register", "cmd_run"]
 
 
 def cmd_run(args) -> int:
-    from ..solver.cache import use_cache
-
     program = common.load_program(args.program)
     entry = common.default_entry(program, args.entry)
     seed = common.seed_for(program, entry, common.parse_seed(args.seed))
@@ -43,26 +40,25 @@ def cmd_run(args) -> int:
     # run boundary — the checkpoint flushes and the exit-3 handler prints
     # the resume hint (a second signal aborts hard)
     with trap_signals(), common.CliObservability(args) as cli_obs, \
-            use_fault_plan(common.fault_plan(args)):
-        with use_cache(cache) if cache is not None else common.null_context():
-            result = api.generate_tests(
-                program,
-                entry=entry,
-                strategy=args.mode,
-                natives=common.natives(),
-                seed=seed,
-                obs=cli_obs.obs,
-                config=SearchConfig.from_options(
-                    max_runs=args.max_runs,
-                    scheduler=args.scheduler,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_every=args.checkpoint_every,
-                    resume_from=args.resume,
-                    job_deadline=args.job_deadline,
-                    seed_corpus=seed_corpus,
-                ),
-                _search_hook=_capture_store,
-            )
+            common.run_context(args, cache):
+        result = api.generate_tests(
+            program,
+            entry=entry,
+            strategy=args.mode,
+            natives=common.natives(),
+            seed=seed,
+            obs=cli_obs.obs,
+            config=SearchConfig.from_options(
+                max_runs=args.max_runs,
+                scheduler=args.scheduler,
+                checkpoint_dir=checkpoint_dir,
+                checkpoint_every=args.checkpoint_every,
+                resume_from=args.resume,
+                job_deadline=args.job_deadline,
+                seed_corpus=seed_corpus,
+            ),
+            _search_hook=_capture_store,
+        )
     if content_store is not None:
         common.persist_to_store(content_store, src_sha, entry, result)
         if args.store_max_bytes is not None:

@@ -24,7 +24,6 @@ import tempfile
 from typing import List, Optional, Tuple
 
 from .. import api
-from ..faults import use_fault_plan
 from ..obs.export import (
     journal_to_chrome_trace,
     load_journal,
@@ -353,8 +352,6 @@ def _campaign_stats(args) -> int:
 
 def _single_run_stats(args) -> int:
     """Run a search with full observability and render the stats report."""
-    from ..solver.cache import use_cache
-
     program = common.load_program(args.program)
     entry = common.default_entry(program, args.entry)
     seed = common.seed_for(program, entry, common.parse_seed(args.seed))
@@ -367,19 +364,17 @@ def _single_run_stats(args) -> int:
         os.close(fd)
         args.trace = tmp_trace
     try:
-        with common.CliObservability(args, force=True) as cli_obs, use_fault_plan(
-            common.fault_plan(args)
-        ):
-            with use_cache(cache) if cache is not None else common.null_context():
-                result = api.generate_tests(
-                    program,
-                    entry=entry,
-                    strategy=args.mode,
-                    natives=common.natives(),
-                    seed=seed,
-                    obs=cli_obs.obs,
-                    config=SearchConfig.from_options(max_runs=args.max_runs),
-                )
+        with common.CliObservability(args, force=True) as cli_obs, \
+                common.run_context(args, cache):
+            result = api.generate_tests(
+                program,
+                entry=entry,
+                strategy=args.mode,
+                natives=common.natives(),
+                seed=seed,
+                obs=cli_obs.obs,
+                config=SearchConfig.from_options(max_runs=args.max_runs),
+            )
         print(f"[{args.mode}] {result.summary()}")
         common.print_resilience(result)
         print(

@@ -50,24 +50,20 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
+from ..context import current, use_context
 from ..errors import DeadlineExceeded, ReproError, SearchInterrupted
-from ..faults import (
-    FaultPlan,
-    NULL_PLAN,
-    use_fault_plan,
-    use_hang_request,
-)
+from ..faults import NULL_PLAN, FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .supervisor import SupervisorConfig
 from ..lang.natives import NativeRegistry
 from ..lang.parser import parse_program
 from ..obs import Observability
-from ..obs.metrics import MetricsRegistry, default_registry, use_registry
+from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..search.corpus import TestCorpus
 from ..search.report import suite_digest
-from ..solver.cache import QueryCache, use_cache
+from ..solver.cache import QueryCache
 from ..symbolic.concolic import ConcretizationMode
 from .planner import SearchJob
 
@@ -338,10 +334,11 @@ def run_job(
     """Execute one job to completion in the current process.
 
     Importable at module top level (the process pool pickles it by
-    reference).  Installs job-private ambient state — fresh fault plan,
-    fresh metrics registry, fresh memory cache over the shared disk cache —
-    so the result is a pure function of ``(job, disk cache contents)``,
-    and disk-cache hits are answer-preserving by the cache's contract.
+    reference).  Installs a job-private run context (:mod:`repro.context`)
+    — fresh fault plan, fresh metrics registry, fresh memory cache over the
+    shared disk cache — so the result is a pure function of ``(job, disk
+    cache contents)``, and disk-cache hits are answer-preserving by the
+    cache's contract.
 
     With ``telemetry_dir`` set, the job's journal (spans, solver queries,
     per-run coverage heartbeats) streams to a private shard under
@@ -395,7 +392,7 @@ def run_job(
             # seed with the prior corpora recorded for this exact program
             # source + entry point; sorted-by-digest order makes the
             # seeded search a pure function of the store state
-            with use_registry(registry):
+            with use_context(registry=registry):
                 stored = store.load_group(
                     "corpus",
                     corpus_group(out.source_sha, job.entry),
@@ -409,8 +406,9 @@ def run_job(
             if seeds:
                 options["seed_corpus"] = seeds
         config = SearchConfig.from_options(**options)
-        with use_fault_plan(plan), use_registry(registry), use_cache(cache), \
-                use_hang_request(hang):
+        with use_context(
+            fault_plan=plan, registry=registry, cache=cache, hang=hang
+        ):
             obs: Optional[Observability] = None
             if telemetry_dir:
                 shard = _open_telemetry_shard(telemetry_dir, job.key, registry)
@@ -478,7 +476,7 @@ def run_job(
         for entry in corpus
     ]
     if store is not None:
-        with use_registry(registry):
+        with use_context(registry=registry):
             _persist_job_outputs(store, job, out)
     disk = cache.disk
     out.cache = {
@@ -672,7 +670,7 @@ class ProcessPoolRunner:
 
     def _count_kill(self) -> None:
         self.killed_workers += 1
-        registry = default_registry()
+        registry = current().registry
         if registry.enabled:
             registry.counter("engine.worker_kills").inc()
 
@@ -793,7 +791,7 @@ class CampaignCheckpoint:
         except OSError:
             # same policy as the run journal: count once, then disable
             self._broken = True
-            registry = default_registry()
+            registry = current().registry
             if registry.enabled:
                 registry.counter("engine.checkpoint_errors").inc()
 

@@ -42,8 +42,8 @@ post-kill retries, the downgraded pool) block this supervision loop
 while they run, so they are deferred until nothing is in flight —
 heartbeat and timeout supervision of pooled jobs is never suspended.
 
-Shutdown: the supervisor polls the process-wide interrupt flag
-(:mod:`repro.interrupt`) between dispatches.  On SIGINT/SIGTERM it
+Shutdown: the supervisor polls the run context's stop request
+(``current().stop``, see :mod:`repro.interrupt`) between dispatches.  On SIGINT/SIGTERM it
 drains in-flight jobs for ``drain_timeout`` seconds (completed results
 are checkpointed), abandons the rest, and raises
 :class:`~repro.errors.SearchInterrupted` so the CLI exits 3 with a
@@ -75,11 +75,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
+from ..context import current
 from ..errors import ReproError, SearchInterrupted
-from ..faults import FaultPlan, current_fault_plan
-from ..interrupt import interrupt_requested
-from ..obs.journal import current_journal
-from ..obs.metrics import default_registry
+from ..faults import FaultPlan
 from .planner import SearchJob
 from .runner import JobResult, run_job
 
@@ -321,7 +319,7 @@ class CampaignSupervisor:
         plan = (
             FaultPlan.parse(self.runner.fault_spec)
             if self.runner.fault_spec
-            else current_fault_plan()
+            else current().fault_plan
         )
         killed = [plan.should_fire("worker-proc") for _ in jobs]
         hangs = [plan.should_fire("hang") for _ in jobs]
@@ -383,7 +381,7 @@ class CampaignSupervisor:
         plan = (
             FaultPlan.parse(self.runner.fault_spec)
             if self.runner.fault_spec
-            else current_fault_plan()
+            else current().fault_plan
         )
         # size the pool for the fleet, not for the first lease
         self._njobs = self.runner.workers
@@ -452,12 +450,12 @@ class CampaignSupervisor:
         reader = ShardReaderGroup() if cfg.stall_timeout > 0 else None
         try:
             while True:
-                if interrupt_requested():
+                if current().stop.reason:
                     self._shutdown_serve(source, queue, deferred, inflight)
                 # top up the fleet: internal retries first, then fresh
                 # leases, until every worker slot is claimed
                 while len(inflight) < self.runner.workers and (
-                    not interrupt_requested()
+                    not current().stop.reason
                 ):
                     if queue:
                         state = queue.popleft()
@@ -471,7 +469,7 @@ class CampaignSupervisor:
                     self._dispatch(state, queue, inflight)
                 queue.extend(deferred)
                 deferred.clear()
-                if interrupt_requested():
+                if current().stop.reason:
                     self._shutdown_serve(source, queue, deferred, inflight)
                 if reader is not None:
                     for state in inflight.values():
@@ -562,7 +560,7 @@ class CampaignSupervisor:
                 seed_from_store=self.runner.seed_from_store,
                 store_tenant=state.tenant,
             )
-            if result.interrupted and interrupt_requested():
+            if result.interrupted and current().stop.reason:
                 # the salvaged partial is a shutdown artifact, not a
                 # result; resume re-runs this job from scratch
                 self._raise_shutdown()
@@ -591,12 +589,12 @@ class CampaignSupervisor:
                 # in-process dispatch or a collected shutdown artifact
                 # that emptied the queue — raises here instead of
                 # falling out with jobs silently dropped
-                if interrupt_requested():
+                if current().stop.reason:
                     self._drain(inflight)
                     self._raise_shutdown()
                 if not queue and not inflight:
                     break
-                while queue and not interrupt_requested():
+                while queue and not current().stop.reason:
                     state = queue.popleft()
                     if (state.inprocess or self._serial_only) and inflight:
                         # an in-process job runs synchronously right
@@ -608,7 +606,7 @@ class CampaignSupervisor:
                     self._dispatch(state, queue, inflight)
                 queue.extend(deferred)
                 deferred.clear()
-                if interrupt_requested():
+                if current().stop.reason:
                     self._drain(inflight)
                     self._raise_shutdown()
                 if not inflight:
@@ -703,7 +701,7 @@ class CampaignSupervisor:
                 seed_from_store=self.runner.seed_from_store,
                 store_tenant=state.tenant,
             )
-            if result.interrupted and interrupt_requested():
+            if result.interrupted and current().stop.reason:
                 # shutdown artifact: the dispatch loop stops on the
                 # flag and the pooled loop's post-dispatch check raises
                 return
@@ -768,7 +766,7 @@ class CampaignSupervisor:
             )
             queue.append(state)
             return False
-        if result.interrupted and interrupt_requested():
+        if result.interrupted and current().stop.reason:
             # shutdown artifact: not settled, and the pooled loop's
             # top-of-iteration check raises even when this was the last
             # in-flight future
@@ -998,11 +996,11 @@ class CampaignSupervisor:
     # -- shutdown ----------------------------------------------------------
 
     def _check_shutdown(self) -> None:
-        if interrupt_requested():
+        if current().stop.reason:
             self._raise_shutdown()
 
     def _raise_shutdown(self) -> None:
-        reason = interrupt_requested() or "signal"
+        reason = current().stop.reason or "signal"
         self._count("engine.supervisor.shutdowns")
         directory = (
             self.checkpoint.directory if self.checkpoint is not None else None
@@ -1057,9 +1055,9 @@ class CampaignSupervisor:
             time.sleep(self.config.retry_backoff * (attempt - 1))
 
     def _count(self, name: str) -> None:
-        registry = default_registry()
+        registry = current().registry
         if registry.enabled:
             registry.counter(name).inc()
 
     def _emit(self, kind: str, **fields: object) -> None:
-        current_journal().emit(kind, **fields)
+        current().journal.emit(kind, **fields)

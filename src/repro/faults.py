@@ -31,7 +31,9 @@ hang       a simulated *wedged* worker: the search kernel stops making
            exercises deadline enforcement and stall detection.  Decided
            in the campaign parent at dispatch time (one consultation per
            job, in job order, like ``worker-proc``) and only ever applied
-           to a job's *first* attempt, so retries are answer-preserving
+           to a job's *first* attempt, so retries are answer-preserving.
+           The worker's ``run_job`` arms the run context's ``hang`` slot
+           for a condemned job; the kernel reads it at each run boundary
 pool       the worker pool breaks (``BrokenProcessPool`` stand-in) while
            the job runs — exercises the supervisor's rebuild-once path.
            Dispatch-time like ``hang``
@@ -57,18 +59,17 @@ Rule forms (per site, exactly one):
   function of ``(seed, site, n)``, so a plan replays identically across
   processes and thread schedules that preserve per-site invocation counts.
 
-Deep layers consult the *current fault plan*, a process-wide slot that
-defaults to the disabled :data:`NULL_PLAN` (same pattern as the journal
-and metrics registry in :mod:`repro.obs`).  Every injected fault is
-counted as ``faults.injected.<site>`` in the default metrics registry.
+Deep layers consult the ``fault_plan`` slot of the run context
+(``current().fault_plan``, see :mod:`repro.context`), which defaults to
+the disabled :data:`NULL_PLAN`.  Every injected fault is counted as
+``faults.injected.<site>`` in the run context's metrics registry.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set
 
 from .errors import (
     FaultPlanError,
@@ -83,12 +84,6 @@ __all__ = [
     "NullFaultPlan",
     "NULL_PLAN",
     "SITES",
-    "current_fault_plan",
-    "set_fault_plan",
-    "use_fault_plan",
-    "request_hang",
-    "consume_hang_request",
-    "use_hang_request",
 ]
 
 #: the injection sites wired through the engine
@@ -161,7 +156,8 @@ def _fault_error(site: str) -> Exception:
         return RuntimeError(marker)
     if site == "hang":
         # never raised in practice: the hang site wedges instead of
-        # raising (see request_hang); this exists for SITES completeness
+        # raising (through the run context's ``hang`` slot); this exists
+        # for SITES completeness
         return RuntimeError(marker)
     if site in ("journal", "checkpoint"):
         return OSError(marker)
@@ -253,9 +249,9 @@ class FaultPlan:
             return False
         with self._lock:
             self._fired[site] = self._fired.get(site, 0) + 1
-        from .obs.metrics import default_registry  # deferred: obs imports faults
+        from .context import current  # deferred: context imports faults
 
-        registry = default_registry()
+        registry = current().registry
         if registry.enabled:
             registry.counter(f"faults.injected.{site}").inc()
         return True
@@ -289,7 +285,7 @@ class FaultPlan:
 
 
 class NullFaultPlan:
-    """Disabled plan: nothing ever fires (the process-wide default)."""
+    """Disabled plan: nothing ever fires (the run context's default)."""
 
     enabled = False
     fired: Dict[str, int] = {}
@@ -310,72 +306,5 @@ class NullFaultPlan:
         return None
 
 
-#: the process-wide disabled fault plan
+#: the disabled fault plan (the run context's default)
 NULL_PLAN = NullFaultPlan()
-
-_current: Union[FaultPlan, NullFaultPlan] = NULL_PLAN
-
-
-def current_fault_plan() -> Union[FaultPlan, NullFaultPlan]:
-    """The plan injection sites consult (NULL_PLAN unless installed)."""
-    return _current
-
-
-def set_fault_plan(
-    plan: Optional[Union[FaultPlan, NullFaultPlan]]
-) -> Union[FaultPlan, NullFaultPlan]:
-    """Install ``plan`` as current (None restores the null plan)."""
-    global _current
-    old = _current
-    _current = plan if plan is not None else NULL_PLAN
-    return old
-
-
-@contextmanager
-def use_fault_plan(
-    plan: Union[FaultPlan, NullFaultPlan]
-) -> Iterator[Union[FaultPlan, NullFaultPlan]]:
-    """Scoped :func:`set_fault_plan`."""
-    old = set_fault_plan(plan)
-    try:
-        yield plan
-    finally:
-        set_fault_plan(old)
-
-
-# -- the hang request channel ----------------------------------------------
-#
-# The ``hang`` site is decided in the campaign *parent* (one consultation
-# per job at dispatch time, so per-job fresh fault plans and retries can't
-# re-fire it), but the wedging happens deep in the worker's search kernel.
-# This process-wide flag is the channel between the two: the worker's
-# run_job sets it for a condemned job, and the kernel consumes it at the
-# next run boundary — mirroring how the kernel consults the current fault
-# plan, without the kernel importing engine code.
-
-_hang_requested = False
-
-
-def request_hang(value: bool = True) -> None:
-    """Arm (or disarm) the hang request for the current process's search."""
-    global _hang_requested
-    _hang_requested = bool(value)
-
-
-def consume_hang_request() -> bool:
-    """True exactly once after :func:`request_hang`; clears the flag."""
-    global _hang_requested
-    if _hang_requested:
-        _hang_requested = False
-        return True
-    return False
-
-
-@contextmanager
-def use_hang_request(value: bool) -> Iterator[None]:
-    """Scoped :func:`request_hang`; always disarms on exit."""
-    request_hang(value)
-    try:
-        yield
-    finally:
-        request_hang(False)

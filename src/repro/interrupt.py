@@ -4,21 +4,25 @@ The search already has one well-tested interruption story: raise
 :class:`~repro.errors.SearchInterrupted` at a run boundary, let the
 session flush its checkpoint, attach the partial result, and re-raise
 (see :meth:`repro.search.directed.DirectedSearch.run`).  This module
-connects *out-of-band* stop requests — SIGINT/SIGTERM, a supervisor's
-shutdown flag — to that same path, so ``kill -TERM`` salvages exactly
-what an injected ``kill`` fault would.
+connects *out-of-band* stop requests — SIGINT/SIGTERM, a campaign
+handle's ``cancel()`` — to that same path, so ``kill -TERM`` salvages
+exactly what an injected ``kill`` fault would.
 
-Design: a process-wide request flag, not an exception from the signal
-handler.  Raising from a handler can land anywhere (inside a checkpoint
-write, mid solver pivot); setting a flag that the kernel polls at its
-run boundary keeps interruption points identical to the injected-kill
-fault site, which is what makes the exit-3 + resume contract hold.  A
-*second* signal escalates to an immediate :class:`KeyboardInterrupt`
-for operators who need out now.
+Design: a :class:`StopRequest` cell in the run context
+(``current().stop``, see :mod:`repro.context`), not an exception from
+the signal handler.  Raising from a handler can land anywhere (inside a
+checkpoint write, mid solver pivot); setting a request that the kernel
+polls at its run boundary keeps interruption points identical to the
+injected-kill fault site, which is what makes the exit-3 + resume
+contract hold.  A *second* signal escalates to an immediate
+:class:`KeyboardInterrupt` for operators who need out now.
 
-Campaign workers never install handlers (only the parent process traps
-signals); they poll the same flag, which matters for the ``--workers 1``
-in-process path where parent and worker share the process.
+Requests nest: a campaign runs under its own request whose ``parent``
+is its submitter's, so cancelling one campaign stops nothing else while
+a signal trapped by the submitter still stops every campaign it
+launched.  Campaign workers never install handlers (only the parent
+process traps signals); the ``--workers 1`` in-process path polls the
+campaign's request directly.
 """
 
 from __future__ import annotations
@@ -30,86 +34,84 @@ from typing import Iterator, Optional
 
 from .errors import SearchInterrupted
 
-__all__ = [
-    "trap_signals",
-    "request_interrupt",
-    "clear_interrupt",
-    "interrupt_requested",
-    "check_interrupt",
-]
-
-_lock = threading.Lock()
-#: the pending stop request ("SIGINT", "SIGTERM", ...), or None
-_requested: Optional[str] = None
+__all__ = ["StopRequest", "trap_signals"]
 
 
-def request_interrupt(reason: str) -> None:
-    """Ask every cooperative checkpoint in this process to stop soon."""
-    global _requested
-    with _lock:
-        if _requested is None:
-            _requested = reason
+class StopRequest:
+    """A cooperative stop request, nested inside an optional ``parent``."""
 
+    def __init__(self, parent: Optional["StopRequest"] = None) -> None:
+        self.parent = parent
+        self._reason: Optional[str] = None
+        #: reentrant: a signal handler may request a stop while its own
+        #: (main) thread is already inside :meth:`request`
+        self._lock = threading.RLock()
 
-def clear_interrupt() -> None:
-    """Drop any pending stop request (a new command starts clean)."""
-    global _requested
-    with _lock:
-        _requested = None
+    def request(self, reason: str) -> None:
+        """Ask every cooperative checkpoint under this request to stop soon."""
+        with self._lock:
+            if self._reason is None:
+                self._reason = reason
 
+    @property
+    def reason(self) -> Optional[str]:
+        """The pending stop reason ("SIGINT", "cancel", ...), here or in a
+        parent request; None when nothing asked to stop."""
+        if self._reason is not None:
+            return self._reason
+        return self.parent.reason if self.parent is not None else None
 
-def interrupt_requested() -> Optional[str]:
-    """The pending stop request's reason, or None."""
-    return _requested
+    def check(self) -> None:
+        """Raise :class:`SearchInterrupted` if a stop has been requested.
 
-
-def check_interrupt() -> None:
-    """Raise :class:`SearchInterrupted` if a stop has been requested.
-
-    Called at the kernel's run boundary (next to the ``kill`` fault
-    site), so an external signal interrupts the search exactly where an
-    injected kill would — checkpoint flushed, partial result attached.
-    """
-    reason = _requested
-    if reason is not None:
-        raise SearchInterrupted(f"interrupted by {reason}")
+        Called at the kernel's run boundary (next to the ``kill`` fault
+        site), so an external signal interrupts the search exactly where
+        an injected kill would — checkpoint flushed, partial result
+        attached.
+        """
+        reason = self.reason
+        if reason is not None:
+            raise SearchInterrupted(f"interrupted by {reason}")
 
 
 @contextmanager
 def trap_signals(
     signals: "tuple[int, ...]" = (signal.SIGINT, signal.SIGTERM),
-) -> Iterator[None]:
-    """Route SIGINT/SIGTERM into the cooperative stop flag while active.
+) -> Iterator[StopRequest]:
+    """Route SIGINT/SIGTERM into a fresh stop request while active.
 
-    First signal: set the request flag (the search/campaign drains and
-    exits 3 with a resume hint).  Second signal: raise
-    :class:`KeyboardInterrupt` immediately.  Restores the previous
-    handlers — and clears any pending request — on exit.  Outside the
-    main thread (or where handlers cannot be installed) this is a no-op
-    context: the flag machinery still works, only the OS wiring is
-    skipped.
+    The request is installed as ``current().stop`` for the block (every
+    campaign launched inside inherits it as a parent).  First signal:
+    request a stop (the search/campaign drains and exits 3 with a resume
+    hint).  Second signal: raise :class:`KeyboardInterrupt` immediately.
+    Restores the previous handlers on exit; the request goes with the
+    block.  Outside the main thread (or where handlers cannot be
+    installed) only the OS wiring is skipped.
     """
+    from .context import current, use_context  # deferred: context imports us
+
+    stop = StopRequest(current().stop)
     installed = {}
 
     def _handler(signum, frame):  # noqa: ANN001 - signal API
         name = signal.Signals(signum).name
-        if _requested is not None:
+        if stop.reason is not None:
             raise KeyboardInterrupt(name)
-        request_interrupt(name)
+        stop.request(name)
 
     for signum in signals:
         try:
             installed[signum] = signal.signal(signum, _handler)
         except (ValueError, OSError):
-            # not the main thread / unsupported signal: cooperative flag
-            # still works, the OS hook just isn't ours to install
+            # not the main thread / unsupported signal: cooperative
+            # request still works, the OS hook just isn't ours to install
             continue
     try:
-        yield
+        with use_context(stop=stop):
+            yield stop
     finally:
         for signum, old in installed.items():
             try:
                 signal.signal(signum, old)
             except (ValueError, OSError):
                 continue
-        clear_interrupt()

@@ -7,13 +7,13 @@ Three cooperating pieces (each usable alone):
   time); the source of the ``repro stats`` profile table.
 - :class:`~repro.obs.metrics.MetricsRegistry` — named counters, gauges,
   and summary histograms.  Solver and executor layers record into the
-  process-wide *default registry*, which is a no-op until a session
-  installs a real one (:func:`~repro.obs.metrics.set_default_registry`).
+  run context's registry (``current().registry``, see
+  :mod:`repro.context`), a no-op until a session installs a real one.
 - :class:`~repro.obs.journal.RunJournal` — a JSONL stream of structured
   session events (``test_generated``, ``solver_query``, ``branch_flipped``,
   ``sample_recorded``, ``divergence_detected``, …), written for post-hoc
-  analysis.  Deep layers emit to the *current journal*
-  (:func:`~repro.obs.journal.current_journal`), null unless installed.
+  analysis.  Deep layers emit to the run context's journal
+  (``current().journal``), null unless installed.
 
 :class:`Observability` bundles the three for APIs that thread them
 together (the directed search).  The default bundle keeps a real tracer —
@@ -37,9 +37,6 @@ from .journal import (
     NULL_JOURNAL,
     NullJournal,
     RunJournal,
-    current_journal,
-    install_journal,
-    set_current_journal,
 )
 from .metrics import (
     NULL_REGISTRY,
@@ -48,9 +45,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    default_registry,
-    set_default_registry,
-    use_registry,
 )
 from .tracer import NULL_TRACER, NullTracer, Span, SpanStats, Tracer
 from .export import (
@@ -81,15 +75,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "NULL_REGISTRY",
-    "default_registry",
-    "set_default_registry",
-    "use_registry",
     "RunJournal",
     "NullJournal",
     "NULL_JOURNAL",
-    "current_journal",
-    "set_current_journal",
-    "install_journal",
 ]
 
 
@@ -97,8 +85,8 @@ class Observability:
     """Bundle of tracer + metrics + journal threaded through a session.
 
     ``Observability()`` is the cheap default: a real tracer (span timings
-    are needed for ``SearchResult.time_*`` compatibility), the process
-    default metrics registry (no-op unless installed), and no journal.
+    are needed for ``SearchResult.time_*`` compatibility), the run
+    context's metrics registry (no-op unless installed), and no journal.
 
     ``Observability.collecting(journal=...)`` builds a fully live bundle
     with a fresh registry — what the CLI's ``--trace``/``--profile`` and
@@ -117,7 +105,11 @@ class Observability:
             journal if journal is not None else NULL_JOURNAL
         )
         self.tracer = tracer if tracer is not None else Tracer(journal=journal)
-        self.metrics = metrics if metrics is not None else default_registry()
+        if metrics is None:
+            from ..context import current  # deferred: the context imports obs
+
+            metrics = current().registry
+        self.metrics = metrics
 
     @classmethod
     def collecting(

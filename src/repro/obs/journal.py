@@ -11,10 +11,11 @@ remaining fields are event-specific (see docs/OBSERVABILITY.md for the
 schema).
 
 Deeply nested layers (the SMT solver, the validity engine) do not take a
-journal parameter through every constructor; instead they emit to the
-*current journal*, a process-wide slot that is the no-op
-:data:`NULL_JOURNAL` unless a session installs its own (the directed
-search does this for the duration of :meth:`DirectedSearch.run`).
+journal parameter through every constructor; instead they emit to
+``current().journal``, the run context's ``journal`` slot
+(:mod:`repro.context`), which is the no-op :data:`NULL_JOURNAL` unless a
+session installs its own (the directed search does this for the duration
+of :meth:`DirectedSearch.run`).
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional, TextIO, Union
-
-from ..faults import current_fault_plan
+from typing import Callable, Dict, Optional, TextIO, Union
 
 #: one shared compact encoder for the emit hot path: building a
 #: JSONEncoder per event (what json.dumps does) costs more than the
@@ -36,9 +34,6 @@ __all__ = [
     "RunJournal",
     "NullJournal",
     "NULL_JOURNAL",
-    "current_journal",
-    "set_current_journal",
-    "install_journal",
 ]
 
 
@@ -105,7 +100,10 @@ class RunJournal:
             }
             event.update(fields)
             try:
-                current_fault_plan().fire("journal")
+                # deferred: the run context imports this module
+                from ..context import current
+
+                current().fault_plan.fire("journal")
                 self._handle.write(_ENCODE(event) + "\n")
                 if self._autoflush and self._seq % self._flush_every == 0:
                     self._handle.flush()
@@ -119,9 +117,9 @@ class RunJournal:
         """Stop writing after the first failed write; the search goes on."""
         self.enabled = False  # instance attribute shadows the class default
         self.write_error: Optional[str] = str(exc)
-        from .metrics import default_registry
+        from ..context import current
 
-        registry = default_registry()
+        registry = current().registry
         if registry.enabled:
             registry.counter("obs.journal.write_errors").inc()
 
@@ -170,34 +168,5 @@ class NullJournal:
         pass
 
 
-#: the process-wide disabled journal (the default current journal)
+#: the disabled journal (the run context's default)
 NULL_JOURNAL = NullJournal()
-
-_current: Union[RunJournal, NullJournal] = NULL_JOURNAL
-
-
-def current_journal() -> Union[RunJournal, NullJournal]:
-    """The journal deeply nested layers (solvers) emit to."""
-    return _current
-
-
-def set_current_journal(
-    journal: Optional[Union[RunJournal, NullJournal]]
-) -> Union[RunJournal, NullJournal]:
-    """Install ``journal`` as current (None restores the null journal)."""
-    global _current
-    old = _current
-    _current = journal if journal is not None else NULL_JOURNAL
-    return old
-
-
-@contextmanager
-def install_journal(
-    journal: Union[RunJournal, NullJournal]
-) -> Iterator[Union[RunJournal, NullJournal]]:
-    """Scoped :func:`set_current_journal`."""
-    old = set_current_journal(journal)
-    try:
-        yield journal
-    finally:
-        set_current_journal(old)

@@ -1,4 +1,4 @@
-"""Counters, gauges, and histograms with a process-wide default registry.
+"""Counters, gauges, and histograms, recorded into the run context's registry.
 
 The instruments are deliberately tiny: a :class:`Counter` is an integer
 that only goes up, a :class:`Gauge` is a last-write-wins value, and a
@@ -7,27 +7,22 @@ than buckets — enough to answer "where did the solver effort go" without
 taxing the hot paths that record into them.
 
 Instrumented modules (the SAT/SMT/LIA solvers, the validity engine, the
-concolic executor) record into the *default registry*.  Out of the box
-that is the :data:`NULL_REGISTRY`, whose instruments are shared no-ops, so
-an uninstrumented run pays only a module-level lookup and a dead method
-call per event.  Enabling collection is one call::
+concolic executor) record into ``current().registry``, the run
+context's ``registry`` slot (:mod:`repro.context`).  Out of the box that
+is the :data:`NULL_REGISTRY`, whose instruments are shared no-ops, so an
+uninstrumented run pays only a context lookup and a dead method call per
+event.  Enabling collection is one block::
 
     registry = MetricsRegistry()
-    old = set_default_registry(registry)
-    try:
+    with use_context(registry=registry):
         ...  # run the workload
-    finally:
-        set_default_registry(old)
     print(registry.render_table())
-
-or, scoped, ``with use_registry(MetricsRegistry()) as registry: ...``.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 __all__ = [
     "Counter",
@@ -36,9 +31,6 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "default_registry",
-    "set_default_registry",
-    "use_registry",
 ]
 
 
@@ -249,30 +241,5 @@ class NullRegistry(MetricsRegistry):
         return _NULL_INSTRUMENT
 
 
-#: the process-wide disabled registry (the default)
+#: the disabled registry (the run context's default)
 NULL_REGISTRY = NullRegistry()
-
-_default: MetricsRegistry = NULL_REGISTRY
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry instrumented modules record into."""
-    return _default
-
-
-def set_default_registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """Install ``registry`` (None restores the null registry); returns the old one."""
-    global _default
-    old = _default
-    _default = registry if registry is not None else NULL_REGISTRY
-    return old
-
-
-@contextmanager
-def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Scoped :func:`set_default_registry` for tests and one-off sessions."""
-    old = set_default_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_default_registry(old)

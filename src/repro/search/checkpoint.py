@@ -36,8 +36,8 @@ import json
 import os
 from typing import Dict, Iterable, List, Optional, TextIO
 
+from ..context import current
 from ..errors import ReproError
-from ..faults import current_fault_plan
 
 __all__ = ["CheckpointWriter", "ReplayCursor", "FORMAT_VERSION"]
 
@@ -46,15 +46,10 @@ FORMAT_VERSION = 1
 
 def _emit_write_error(path: str, exc: OSError) -> None:
     """Count and journal a checkpoint write failure (once per writer)."""
-    from ..obs.journal import current_journal
-    from ..obs.metrics import default_registry
-
-    registry = default_registry()
-    if registry.enabled:
-        registry.counter("search.checkpoint.errors").inc()
-    current_journal().emit(
-        "checkpoint_error", path=path, error=str(exc)
-    )
+    context = current()
+    if context.registry.enabled:
+        context.registry.counter("search.checkpoint.errors").inc()
+    context.journal.emit("checkpoint_error", path=path, error=str(exc))
 
 
 class CheckpointWriter:
@@ -76,7 +71,7 @@ class CheckpointWriter:
         self.decisions_written = 0
         self._decisions: Optional[TextIO] = None
         try:
-            current_fault_plan().fire("checkpoint")
+            current().fault_plan.fire("checkpoint")
             os.makedirs(directory, exist_ok=True)
             if not resume:
                 if meta is not None:
@@ -114,7 +109,7 @@ class CheckpointWriter:
         if not self.enabled or self._decisions is None:
             return
         try:
-            current_fault_plan().fire("checkpoint")
+            current().fault_plan.fire("checkpoint")
             self._decisions.write(json.dumps(entry, default=str) + "\n")
             self._decisions.flush()
             self.decisions_written += 1
@@ -132,7 +127,7 @@ class CheckpointWriter:
             return
         entries = list(consumed)
         try:
-            current_fault_plan().fire("checkpoint")
+            current().fault_plan.fire("checkpoint")
             if self._decisions is not None:
                 self._decisions.close()
             self._decisions = open(
@@ -167,7 +162,7 @@ class CheckpointWriter:
         if not self.enabled:
             return
         try:
-            current_fault_plan().fire("checkpoint")
+            current().fault_plan.fire("checkpoint")
             payload: Dict[str, object] = {
                 "runs": runs,
                 "decisions": self.decisions_written,

@@ -41,13 +41,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..context import current, use_context
 from ..errors import ReproError, SearchInterrupted
-from ..faults import current_fault_plan
 from ..lang.ast import Program
 from ..lang.natives import NativeRegistry
 from ..obs import Observability
-from ..obs.journal import set_current_journal
-from ..obs.metrics import set_default_registry
 from ..solver.terms import TermManager
 from ..symbolic.concolic import ConcolicEngine, ConcolicResult, ConcretizationMode
 from ..core.samples import SampleStore
@@ -425,7 +423,7 @@ class DirectedSearch:
                         self.backend, "name", type(self.backend).__name__
                     ),
                     "seed": dict(seed_inputs),
-                    "fault_plan": current_fault_plan().spec(),
+                    "fault_plan": current().fault_plan.spec(),
                     "max_runs": self.config.max_runs,
                     "scheduler": scheduler_name,
                 },
@@ -454,30 +452,26 @@ class DirectedSearch:
             scheduler=scheduler_name,
             resumed=bool(self.config.resume_from),
         )
-        # deep layers (SMT checks, validity verdicts) emit to the current
-        # journal and record into the default registry for the duration of
-        # the session
-        previous_journal = set_current_journal(obs.journal)
-        previous_registry = None
+        # deep layers (SMT checks, validity verdicts) emit to the session's
+        # journal and record into its registry for the duration of the run
+        slots: Dict[str, object] = {"journal": obs.journal}
         if obs.metrics.enabled:
-            previous_registry = set_default_registry(obs.metrics)
+            slots["registry"] = obs.metrics
         interrupted: Optional[SearchInterrupted] = None
-        try:
-            with obs.tracer.span("search") as root:
-                try:
-                    kernel.search(seed_inputs)
-                except SearchInterrupted as exc:
-                    interrupted = exc
-                    result.interrupted = True
-        finally:
-            # flush the final checkpoint while the session's journal and
-            # registry are still installed, then restore the ambient slots
-            if ckpt is not None:
-                kernel.flush_checkpoint()
-                ckpt.close()
-            set_current_journal(previous_journal)
-            if obs.metrics.enabled:
-                set_default_registry(previous_registry)
+        with use_context(**slots):
+            try:
+                with obs.tracer.span("search") as root:
+                    try:
+                        kernel.search(seed_inputs)
+                    except SearchInterrupted as exc:
+                        interrupted = exc
+                        result.interrupted = True
+            finally:
+                # flush the final checkpoint while the session's journal
+                # and registry are still installed
+                if ckpt is not None:
+                    kernel.flush_checkpoint()
+                    ckpt.close()
         result.time_total = root.elapsed
         metrics = obs.metrics
         if metrics.enabled:

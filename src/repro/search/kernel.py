@@ -47,9 +47,11 @@ from __future__ import annotations
 import dataclasses
 import re
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..context import current, use_context
 from ..errors import (
     DeadlineExceeded,
     ReproError,
@@ -57,10 +59,9 @@ from ..errors import (
     RunBudgetExhausted,
     SearchInterrupted,
 )
-from ..faults import consume_hang_request, current_fault_plan, set_fault_plan
-from ..interrupt import check_interrupt
+from ..faults import NULL_PLAN
 from ..obs import Observability
-from ..solver.budget import DEFAULT_BUDGET, DEGRADED_BUDGET, use_budget
+from ..solver.budget import DEFAULT_BUDGET, DEGRADED_BUDGET
 from ..solver.terms import Term, TermManager
 from ..symbolic.concolic import ConcolicResult, PathCondition
 from ..core.post import negatable_indices
@@ -193,7 +194,8 @@ class SearchKernel:
         self.state = SearchState(scheduler=scheduler)
         self._ckpt = ckpt
         self._replay = replay
-        self._suspended_plan = None
+        #: suspends fault injection while a checkpoint is replayed
+        self._replay_scope = ExitStack()
         self._probe_log: List[Dict[str, int]] = []
         #: monotonic instant the session's wall-clock budget runs out
         #: (None = no deadline); armed by :meth:`search`
@@ -218,9 +220,7 @@ class SearchKernel:
 
     def _cache_counters(self) -> Dict[str, int]:
         """Cumulative query-cache counters of the session's cache (if any)."""
-        from ..solver.cache import default_cache
-
-        cache = default_cache()
+        cache = current().cache
         if cache is None:
             return {}
         counters = {"hits": cache.hits, "misses": cache.misses}
@@ -239,9 +239,7 @@ class SearchKernel:
         metrics = self.obs.metrics
         if not metrics.enabled:
             return
-        from ..solver.cache import default_cache
-
-        cache = default_cache()
+        cache = current().cache
         if cache is None:
             return
         metrics.gauge("kernel.cache.hit_rate").set(round(cache.hit_rate, 4))
@@ -282,7 +280,7 @@ class SearchKernel:
             # the solve stages between runs can be arbitrarily slow, so
             # the loop top is an interruption point of its own (the run
             # boundary inside execute() covers the common case)
-            check_interrupt()
+            current().stop.check()
             self._check_deadline()
             if self.obs.metrics.enabled:
                 self.obs.metrics.counter(
@@ -381,7 +379,7 @@ class SearchKernel:
                 f"search.scheduler.{scheduler.name}.queue_depth"
             ).set(len(scheduler))
         try:
-            current_fault_plan().fire("scheduler")
+            current().fault_plan.fire("scheduler")
             before = scheduler.promotions
             item = scheduler.select()
         except (SearchInterrupted, RunBudgetExhausted):
@@ -465,7 +463,7 @@ class SearchKernel:
         for rung, pin in (("sound", True), ("unsound", False)):
             self._count_downgrade(rung, record.index, i)
             try:
-                with use_budget(DEGRADED_BUDGET):
+                with use_context(budget=DEGRADED_BUDGET):
                     generated = self._degraded_generate(request, pin=pin)
             except ResourceLimitError:
                 continue
@@ -562,7 +560,7 @@ class SearchKernel:
         # suppress fault injection while replaying: the replayed prefix
         # already consumed its share of the fault sequence in the original
         # process; the checkpointed counters are restored when going live
-        self._suspended_plan = set_fault_plan(None)
+        self._replay_scope.enter_context(use_context(fault_plan=NULL_PLAN))
 
     def _end_replay(self) -> None:
         if self._replay is None:
@@ -586,14 +584,11 @@ class SearchKernel:
             replayed=len(cursor.consumed),
             diverged=cursor.diverged,
         )
-        if self._suspended_plan is not None:
-            plan = self._suspended_plan
-            self._suspended_plan = None
-            set_fault_plan(plan)
-            if cursor.fault_state:
-                # continue the interrupted fault sequence instead of
-                # repeating it (a one-shot kill must not re-fire)
-                plan.restore_state(cursor.fault_state)
+        self._replay_scope.close()
+        if cursor.fault_state:
+            # continue the interrupted fault sequence instead of
+            # repeating it (a one-shot kill must not re-fire)
+            current().fault_plan.restore_state(cursor.fault_state)
         if self._ckpt is not None:
             self._ckpt.reset_decisions(cursor.consumed)
 
@@ -688,7 +683,7 @@ class SearchKernel:
         ckpt.flush_state(
             result.runs,
             self.store.samples(),
-            current_fault_plan().state(),
+            current().fault_plan.state(),
             frontier_rows,
             corpus=corpus,
             search_state=self.state.to_payload(),
@@ -728,7 +723,7 @@ class SearchKernel:
             self._probe_log = []
             obs.emit("flip_retried", parent=record.index, flip=i)
             try:
-                with use_budget(escalated):
+                with use_context(budget=escalated):
                     generated = self.backend.generate(request)
                 rung = "escalated"
             except RunBudgetExhausted:
@@ -834,9 +829,10 @@ class SearchKernel:
         """Run one test; returns None when the run crashed (contained)."""
         result = self.result
         obs = self.obs
-        current_fault_plan().fire("kill")
-        check_interrupt()
-        if consume_hang_request():
+        context = current()
+        context.fault_plan.fire("kill")
+        context.stop.check()
+        if context.hang:
             self._hang()
         self._check_deadline()
         try:
@@ -943,7 +939,7 @@ class SearchKernel:
         obs.emit("hang_injected", runs=self.result.runs)
         while True:
             self._check_deadline()
-            check_interrupt()
+            current().stop.check()
             time.sleep(0.01)
 
     def _contain_crash(

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
+from ..context import current
 from ..engine.runner import JobResult, ProcessPoolRunner
 from ..engine.supervisor import SupervisorConfig
 from ..errors import SearchInterrupted
-from ..faults import FaultPlan, current_fault_plan
+from ..faults import FaultPlan
 from ..obs.shipper import merge_shards
 from .scheduler import ServiceScheduler
 from .state import ServiceState
@@ -78,7 +79,7 @@ class CampaignService:
         #: gc budget applied to the shared store when the serve loop exits
         self.store_max_bytes = store_max_bytes
         plan = (
-            FaultPlan.parse(fault_plan) if fault_plan else current_fault_plan()
+            FaultPlan.parse(fault_plan) if fault_plan else current().fault_plan
         )
         self.scheduler = ServiceScheduler(
             self.state,

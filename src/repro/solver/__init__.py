@@ -17,7 +17,7 @@ from .euf import CongruenceClosure, EufResult, check_euf_conjunction
 from .simplex import Simplex, SimplexResult
 from .lia import LiaSolver, LiaResult
 from .intervals import Bound, BoundsAnalysis
-from .cache import QueryCache, default_cache, set_default_cache, use_cache
+from .cache import QueryCache, use_cache
 from .session import PrefixSession, SolverSession
 from .smt import Solver, Model, CheckResult, ackermannize
 from .evalmodel import evaluate, evaluate_with_oracle
@@ -59,8 +59,6 @@ __all__ = [
     "ackermannize",
     "evaluate",
     "QueryCache",
-    "default_cache",
-    "set_default_cache",
     "use_cache",
     "PrefixSession",
     "SolverSession",

@@ -1,4 +1,4 @@
-"""Per-query solver budgets with a process-wide ambient default.
+"""Per-query solver budgets, scoped through the run context.
 
 Every layer of the solver stack already enforces a resource limit — lazy
 SMT iterations (:mod:`.smt`, :mod:`.session`), CDCL conflicts
@@ -6,12 +6,12 @@ SMT iterations (:mod:`.smt`, :mod:`.session`), CDCL conflicts
 (:mod:`.lia`) — but the limits were hard-coded per constructor, so a
 caller who wants to *degrade* a query (retry it cheaper, or re-queue it
 with more headroom) had no single knob.  :class:`SolverBudget` bundles the
-limits, and the *current budget* slot (same pattern as the journal and
-metrics registry in :mod:`repro.obs`) lets high-level policies like the
-directed search's degradation ladder scope a budget over arbitrarily deep
-solver construction without threading a parameter through every layer::
+limits, and the run context's ``budget`` slot (:mod:`repro.context`)
+lets high-level policies like the directed search's degradation ladder
+scope a budget over arbitrarily deep solver construction without
+threading a parameter through every layer::
 
-    with use_budget(DEFAULT_BUDGET.scaled(4)):
+    with use_context(budget=DEFAULT_BUDGET.scaled(4)):
         backend.generate(request)   # every Solver/SolverSession inside
                                     # inherits the escalated limits
 
@@ -22,17 +22,12 @@ chooses whether to degrade, defer, or give up.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
 
 __all__ = [
     "SolverBudget",
     "DEFAULT_BUDGET",
     "DEGRADED_BUDGET",
-    "current_budget",
-    "set_budget",
-    "use_budget",
 ]
 
 
@@ -74,28 +69,3 @@ DEGRADED_BUDGET = SolverBudget(
     max_branches=500,
     max_pivots=50_000,
 )
-
-_current: SolverBudget = DEFAULT_BUDGET
-
-
-def current_budget() -> SolverBudget:
-    """The budget newly constructed solvers inherit."""
-    return _current
-
-
-def set_budget(budget: Optional[SolverBudget]) -> SolverBudget:
-    """Install ``budget`` as current (None restores the default)."""
-    global _current
-    old = _current
-    _current = budget if budget is not None else DEFAULT_BUDGET
-    return old
-
-
-@contextmanager
-def use_budget(budget: SolverBudget) -> Iterator[SolverBudget]:
-    """Scoped :func:`set_budget`."""
-    old = set_budget(budget)
-    try:
-        yield budget
-    finally:
-        set_budget(old)

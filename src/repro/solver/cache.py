@@ -21,8 +21,11 @@ cold, warm, or shared across ``--workers`` processes.  Incremental sessions
 (:mod:`repro.solver.session`) carry solver state across queries and are
 deliberately **not** routed through this cache.
 
-Hits and misses are counted in the default metrics registry as
-``solver.cache.hits`` / ``solver.cache.misses``.
+Stateless solvers consult ``current().cache``, the run context's
+``cache`` slot (:mod:`repro.context`): one process-wide cache unless a
+run installs its own (or None, which disables caching).  They count hits
+and misses in the run context's registry as ``solver.cache.hits`` /
+``solver.cache.misses``.
 """
 
 from __future__ import annotations
@@ -32,14 +35,11 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Tuple
 
-from ..obs.metrics import default_registry
 from .terms import CanonicalQuery, FunctionSymbol
 
 __all__ = [
     "CachedResult",
     "QueryCache",
-    "default_cache",
-    "set_default_cache",
     "use_cache",
 ]
 
@@ -123,11 +123,6 @@ class QueryCache:
                     self.disk_hits += 1
             else:
                 self.misses += 1
-        registry = default_registry()
-        if registry.enabled:
-            registry.counter(
-                "solver.cache.hits" if entry is not None else "solver.cache.misses"
-            ).inc()
         return entry
 
     def store(self, key: Tuple[object, ...], entry: CachedResult) -> None:
@@ -158,28 +153,11 @@ class QueryCache:
         return self.hits / total if total else 0.0
 
 
-#: process-wide cache shared by every stateless solver query
-_default: Optional[QueryCache] = QueryCache()
-
-
-def default_cache() -> Optional[QueryCache]:
-    """The process-wide query cache (None when caching is disabled)."""
-    return _default
-
-
-def set_default_cache(cache: Optional[QueryCache]) -> Optional[QueryCache]:
-    """Install ``cache`` as the process default (None disables caching)."""
-    global _default
-    old = _default
-    _default = cache
-    return old
-
-
 @contextmanager
 def use_cache(cache: Optional[QueryCache]) -> Iterator[Optional[QueryCache]]:
-    """Scoped :func:`set_default_cache` — for tests and cold-solver runs."""
-    old = set_default_cache(cache)
-    try:
+    """Scoped install of the run context's ``cache`` slot (None disables
+    caching) — for tests and cold-solver runs."""
+    from ..context import use_context  # deferred: the context imports us
+
+    with use_context(cache=cache):
         yield cache
-    finally:
-        set_default_cache(old)

@@ -58,7 +58,7 @@ import os
 import threading
 from typing import Dict, Optional, Tuple
 
-from ..obs.metrics import default_registry
+from ..context import current
 from ..store import ContentStore
 from .cache import CachedResult
 
@@ -168,7 +168,7 @@ class DiskCache:
                     self.skipped += 1
                 if removed:
                     self.corrupt_removed += 1
-        registry = default_registry()
+        registry = current().registry
         if registry.enabled:
             registry.counter(
                 "solver.diskcache.hits" if entry is not None
@@ -190,7 +190,7 @@ class DiskCache:
             return
         with self._lock:
             self.stores += 1
-        registry = default_registry()
+        registry = current().registry
         if registry.enabled:
             registry.counter("solver.diskcache.stores").inc()
 

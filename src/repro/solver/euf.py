@@ -21,8 +21,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from ..context import current
 from ..errors import SolverError
-from ..obs.metrics import default_registry
 from .terms import Kind, Term
 
 __all__ = ["CongruenceClosure", "EufResult"]
@@ -156,7 +156,7 @@ class CongruenceClosure:
 
     def check(self) -> EufResult:
         """Report the current consistency status."""
-        registry = default_registry()
+        registry = current().registry
         if registry.enabled:
             registry.counter("euf.checks").inc()
             registry.counter("euf.merges").inc(self.merges - self._reported_merges)

@@ -29,8 +29,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from time import perf_counter
 
+from ..context import current
 from ..errors import ResourceLimitError
-from ..obs.metrics import default_registry
 from .simplex import Simplex
 
 __all__ = ["LiaSolver", "LiaResult", "LinearConstraint"]
@@ -180,7 +180,7 @@ class LiaSolver:
         to the default metrics registry (no-op unless a session installed
         a live one).
         """
-        registry = default_registry()
+        registry = current().registry
         if not registry.enabled:
             return self._check()
         start = perf_counter()

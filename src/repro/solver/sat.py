@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..context import current
 from ..errors import ResourceLimitError, SolverError
-from ..obs.metrics import default_registry
 
 __all__ = ["SatSolver", "SatResult", "SatStats"]
 
@@ -421,7 +421,7 @@ class SatSolver:
         each query are recorded into the default metrics registry — only
         here at the query boundary, never inside the inner loops.
         """
-        registry = default_registry()
+        registry = current().registry
         if not registry.enabled:
             return self._solve(assumptions)
         start = perf_counter()

@@ -40,11 +40,8 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..context import current
 from ..errors import ResourceLimitError, SolverError
-from ..faults import current_fault_plan
-from ..obs.journal import current_journal
-from ..obs.metrics import default_registry
-from .budget import current_budget
 from .cnf import CnfConverter
 from .sat import SatSolver
 from .smt import CheckResult, Model, check_theory, is_ground
@@ -113,7 +110,7 @@ class SolverSession:
         max_conflicts: Optional[int] = None,
         verify_models: bool = True,
     ) -> None:
-        budget = current_budget()
+        budget = current().budget
         if max_iterations is None:
             max_iterations = budget.max_iterations
         if max_conflicts is None:
@@ -153,7 +150,7 @@ class SolverSession:
         """Open a scope guarded by a fresh activation literal."""
         self._scopes.append(_Frame(self._sat.new_var()))
         self.pushes += 1
-        registry = default_registry()
+        registry = current().registry
         if registry.enabled:
             registry.counter("solver.session.push").inc()
 
@@ -163,7 +160,7 @@ class SolverSession:
             raise SolverError("pop without matching push")
         self._retire(self._scopes.pop())
         self.pops += 1
-        registry = default_registry()
+        registry = current().registry
         if registry.enabled:
             registry.counter("solver.session.pop").inc()
 
@@ -326,8 +323,9 @@ class SolverSession:
         except Tseitin definitions and learned lemmas.
         """
         self.checks += 1
-        registry = default_registry()
-        journal = current_journal()
+        context = current()
+        registry = context.registry
+        journal = context.journal
         if not registry.enabled and not journal.enabled:
             return self._check(extra)
         start = perf_counter()
@@ -353,9 +351,9 @@ class SolverSession:
     def _check(self, extra: Tuple[Term, ...]) -> CheckResult:
         # fault-injection site: forced exhaustion before any state mutates,
         # so a degraded/retried query sees a clean session
-        current_fault_plan().fire("solver")
+        current().fault_plan.fire("solver")
         ext = _Frame(self._sat.new_var()) if extra else None
-        registry = default_registry()
+        registry = current().registry
         try:
             if ext is not None:
                 if registry.enabled:
@@ -505,7 +503,7 @@ class PrefixSession:
             self.session.push()
             self.session.assert_term(term)
             self._stack.append(term)
-        registry = default_registry()
+        registry = current().registry
         if registry.enabled:
             registry.histogram("solver.session.reuse_depth").observe(common)
         return self.session.check(*extra)

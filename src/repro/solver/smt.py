@@ -29,12 +29,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from time import perf_counter
 
+from ..context import current
 from ..errors import ResourceLimitError, SolverError
-from ..faults import current_fault_plan
-from ..obs.journal import current_journal
-from ..obs.metrics import default_registry
-from .budget import current_budget
-from .cache import CachedResult, default_cache
+from .cache import CachedResult
 from .cnf import CnfConverter
 from .lia import LiaSolver
 from .sat import SatSolver
@@ -224,9 +221,9 @@ def check_theory(
     (atom, polarity) pairs from the input.  Shared by the from-scratch
     :class:`Solver` and the incremental
     :class:`~repro.solver.session.SolverSession`.  Branch and pivot limits
-    come from the ambient :func:`~repro.solver.budget.current_budget`.
+    come from the run context's ``budget`` slot.
     """
-    budget = current_budget()
+    budget = current().budget
     lia = LiaSolver(
         max_branches=budget.max_branches, max_pivots=budget.max_pivots
     )
@@ -357,9 +354,8 @@ class Solver:
         max_iterations: Optional[int] = None,
         max_conflicts: Optional[int] = None,
         verify_models: bool = True,
-        use_cache: bool = True,
     ) -> None:
-        budget = current_budget()
+        budget = current().budget
         self.tm = manager if manager is not None else TermManager()
         self._assertions: List[Term] = []
         self._scopes: List[int] = []
@@ -370,10 +366,6 @@ class Solver:
             max_conflicts if max_conflicts is not None else budget.max_conflicts
         )
         self._verify_models = verify_models
-        #: consult the process-wide normalized query cache; safe because
-        #: every _check re-encodes from scratch (the answer is a pure
-        #: function of the asserted formulas)
-        self._use_cache = use_cache
         self.last_iterations = 0
 
     # -- assertion management ---------------------------------------------------
@@ -405,12 +397,13 @@ class Solver:
         """Decide the conjunction of all assertions (plus ``extra``).
 
         Each query's verdict, lazy-loop iteration count, and wall time are
-        recorded into the default metrics registry and emitted as a
-        ``solver_query`` event on the current journal (both no-ops unless a
-        session installed live sinks).
+        recorded into the run context's metrics registry and emitted as a
+        ``solver_query`` event on its journal (both no-ops unless a session
+        installed live sinks).
         """
-        registry = default_registry()
-        journal = current_journal()
+        context = current()
+        registry = context.registry
+        journal = context.journal
         if not registry.enabled and not journal.enabled:
             return self._check_cached(extra)
         start = perf_counter()
@@ -431,8 +424,13 @@ class Solver:
         return result
 
     def _check_cached(self, extra: Tuple[Term, ...]) -> CheckResult:
-        """Answer from the normalized query cache when possible."""
-        cache = default_cache() if self._use_cache else None
+        """Answer from the run context's query cache when possible.
+
+        Safe because every :meth:`_check` re-encodes from scratch: the
+        answer is a pure function of the asserted formulas.
+        """
+        context = current()
+        cache = context.cache
         if cache is None:
             return self._check(extra)
         goal = list(self._assertions) + list(extra)
@@ -440,6 +438,10 @@ class Solver:
             return CheckResult(sat=True, model=Model())
         cq = canonical_query(goal)
         entry = cache.lookup(cq.key)
+        if context.registry.enabled:
+            context.registry.counter(
+                "solver.cache.hits" if entry is not None else "solver.cache.misses"
+            ).inc()
         if entry is not None:
             result = cache_entry_to_result(entry, cq)
             self.last_iterations = result.iterations
@@ -455,7 +457,7 @@ class Solver:
             return CheckResult(sat=True, model=Model())
         # fault-injection site: a forced ResourceLimitError here behaves
         # exactly like real budget exhaustion mid-query
-        current_fault_plan().fire("solver")
+        current().fault_plan.fire("solver")
 
         # 1) eliminate integer ITEs
         flat: List[Term] = []

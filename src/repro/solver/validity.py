@@ -57,10 +57,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from time import perf_counter
 
+from ..context import current, use_context
 from ..errors import ResourceLimitError, SolverError, StrategyError
-from ..obs.journal import current_journal
-from ..obs.metrics import default_registry
-from .budget import SolverBudget, use_budget
+from .budget import SolverBudget
 from .evalmodel import evaluate
 from .session import SolverSession
 from .smt import CheckResult, Model, Solver
@@ -305,11 +304,12 @@ class ValidityChecker:
         the previous run's concrete values, per the paper's Section 2).
 
         Each verdict (status, candidates tried, wall time) is recorded
-        into the default metrics registry and emitted as a
-        ``validity_check`` event on the current journal.
+        into the run context's metrics registry and emitted as a
+        ``validity_check`` event on its journal.
         """
-        registry = default_registry()
-        journal = current_journal()
+        context = current()
+        registry = context.registry
+        journal = context.journal
         if not registry.enabled and not journal.enabled:
             return self._check_budgeted(pc, input_vars, samples, defaults)
         start = perf_counter()
@@ -338,7 +338,7 @@ class ValidityChecker:
     ) -> ValidityResult:
         if self.budget is None:
             return self._check(pc, input_vars, samples, defaults)
-        with use_budget(self.budget):
+        with use_context(budget=self.budget):
             return self._check(pc, input_vars, samples, defaults)
 
     def _check(

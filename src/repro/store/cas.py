@@ -66,7 +66,7 @@ import os
 import tempfile
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..obs.metrics import default_registry
+from ..context import current
 
 __all__ = [
     "ContentStore",
@@ -162,7 +162,7 @@ class ContentStore:
     def _count(self, namespace: str, what: str, by: int = 1) -> None:
         name = f"store.{namespace}.{what}"
         self.counters[name] = self.counters.get(name, 0) + by
-        registry = default_registry()
+        registry = current().registry
         if registry.enabled:
             registry.counter(name).inc(by)
 

@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from ..context import current
 from ..errors import InterpError, StepBudgetExceeded, SymbolicExecutionError
-from ..faults import current_fault_plan
 from ..lang.ast import (
     ArrayAssign,
     ArrayDecl,
@@ -69,7 +69,6 @@ from ..lang.ast import (
 )
 from ..lang.interp import DivisionByZero, c_div, c_mod, truthy
 from ..lang.natives import NativeRegistry
-from ..obs.metrics import default_registry
 from ..solver.terms import FunctionSymbol, Kind, Sort, Term, TermManager
 from ..solver.validity import Sample
 
@@ -263,7 +262,7 @@ class ConcolicEngine:
         """Execute ``entry`` concolically on the given concrete inputs."""
         # fault-injection site "interp": a forced step-budget blowup, for
         # exercising the search's crash containment deterministically
-        current_fault_plan().fire("interp")
+        current().fault_plan.fire("interp")
         fn = self.program.function(entry)
         missing = [p for p in fn.params if p not in inputs]
         if missing:
@@ -298,7 +297,7 @@ class ConcolicEngine:
             result.error = True
             result.error_message = err.message
             result.error_line = err.line
-        registry = default_registry()
+        registry = current().registry
         if registry.enabled:
             # per-run imprecision accounting, recorded once at the run
             # boundary so the per-step hot path stays untouched

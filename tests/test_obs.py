@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.apps.hashes import standard_registry
+from repro.context import current, use_context
 from repro.lang import parse_program
 from repro.obs import (
     NULL_JOURNAL,
@@ -18,12 +19,6 @@ from repro.obs import (
     Observability,
     RunJournal,
     Tracer,
-    current_journal,
-    default_registry,
-    install_journal,
-    set_current_journal,
-    set_default_registry,
-    use_registry,
 )
 from repro.search import DirectedSearch, SearchConfig
 from repro.solver.sat import SatSolver, SatStats
@@ -133,20 +128,23 @@ class TestMetricsRegistry:
         assert len(reg) == 0
 
     def test_default_registry_is_null_and_restorable(self):
-        assert default_registry() is NULL_REGISTRY
+        assert current().registry is NULL_REGISTRY
         live = MetricsRegistry()
-        old = set_default_registry(live)
-        try:
-            assert default_registry() is live
-        finally:
-            set_default_registry(old)
-        assert default_registry() is NULL_REGISTRY
+        with pytest.raises(RuntimeError):
+            with use_context(registry=live):
+                assert current().registry is live
+                raise RuntimeError("boom")
+        assert current().registry is NULL_REGISTRY
 
     def test_use_registry_context_manager(self):
-        live = MetricsRegistry()
-        with use_registry(live):
-            assert default_registry() is live
-        assert default_registry() is NULL_REGISTRY
+        outer, inner = MetricsRegistry(), MetricsRegistry()
+        with use_context(registry=outer) as context:
+            assert context is current()
+            assert context.registry is outer
+            with use_context(registry=inner):
+                assert current().registry is inner
+            assert current().registry is outer
+        assert current().registry is NULL_REGISTRY
 
 
 class TestDisabledMode:
@@ -174,7 +172,7 @@ class TestDisabledMode:
         assert span.elapsed == 0.0
 
     def test_current_journal_defaults_to_null(self):
-        assert current_journal() is NULL_JOURNAL
+        assert current().journal is NULL_JOURNAL
 
     def test_search_without_obs_touches_no_global_state(self):
         program = parse_program(open(FOO_MINIC, encoding="utf-8").read())
@@ -184,10 +182,10 @@ class TestDisabledMode:
         )
         result = search.run({"x": 0, "y": 0})
         assert result.found_error
-        # the process-wide default registry stayed untouched (null)
-        assert default_registry() is NULL_REGISTRY
-        assert len(default_registry()) == 0
-        assert current_journal() is NULL_JOURNAL
+        # the run context's default registry stayed untouched (null)
+        assert current().registry is NULL_REGISTRY
+        assert len(current().registry) == 0
+        assert current().journal is NULL_JOURNAL
         # backward compatibility: timings still populated by the tracer
         assert result.time_total > 0.0
 
@@ -218,18 +216,9 @@ class TestRunJournal:
 
     def test_install_journal_restores_previous(self, tmp_path):
         journal = RunJournal(str(tmp_path / "e.jsonl"))
-        with install_journal(journal):
-            assert current_journal() is journal
-        assert current_journal() is NULL_JOURNAL
-        journal.close()
-
-    def test_set_current_journal_returns_old(self, tmp_path):
-        journal = RunJournal(str(tmp_path / "e.jsonl"))
-        old = set_current_journal(journal)
-        try:
-            assert current_journal() is journal
-        finally:
-            set_current_journal(old)
+        with use_context(journal=journal):
+            assert current().journal is journal
+        assert current().journal is NULL_JOURNAL
         journal.close()
 
 

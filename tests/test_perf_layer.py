@@ -15,10 +15,11 @@ import random
 import pytest
 
 from repro.apps import build_lexer_program
+from repro.context import use_context
 from repro.errors import SolverError
 from repro.lang import NativeRegistry, parse_program
 from repro.lang.randprog import generate_program
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry
 from repro.search import DirectedSearch, SearchConfig
 from repro.search.parallel import generate_flip, import_request
 from repro.search.report import suite_digest
@@ -133,7 +134,7 @@ class TestQueryCache:
     def test_hit_metrics_recorded(self):
         registry = MetricsRegistry()
         cache = QueryCache()
-        with use_registry(registry), use_cache(cache):
+        with use_context(registry=registry, cache=cache):
             tm = TermManager()
             x = tm.mk_var("x")
             for _ in range(2):
@@ -184,10 +185,11 @@ class TestSolverSession:
             for _ in range(3):
                 extra = _random_formula(tm, rng, variables, fn)
                 got = session.check(extra)
-                cold = Solver(tm, use_cache=False)
+                cold = Solver(tm)
                 cold.add(base)
                 cold.add(extra)
-                want = cold.check()
+                with use_cache(None):
+                    want = cold.check()
                 assert got.sat == want.sat, (seed, base, extra)
                 if got.sat:
                     assert evaluate(tm.mk_and(base, extra), got.model) is True
@@ -218,7 +220,7 @@ class TestSolverSession:
         c2 = tm.mk_gt(y, tm.mk_int(0))
         c3a = tm.mk_lt(x, y)
         c3b = tm.mk_gt(x, y)
-        with use_registry(registry):
+        with use_context(registry=registry):
             prefix_session = PrefixSession(tm)
             assert prefix_session.solve([c1, c2, c3a]).sat
             assert prefix_session.solve([c1, c2, c3b]).sat  # retains c1, c2

@@ -18,17 +18,12 @@ from repro.errors import (
     SearchInterrupted,
     StepBudgetExceeded,
 )
-from repro.faults import (
-    NULL_PLAN,
-    FaultPlan,
-    FaultRule,
-    current_fault_plan,
-    use_fault_plan,
-)
+from repro.context import current, use_context
+from repro.faults import NULL_PLAN, FaultPlan, FaultRule
 from repro.lang import NativeRegistry, parse_program
 from repro.obs import Observability
 from repro.obs.journal import RunJournal
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.search import (
     DirectedSearch,
     QuantifierFreeBackend,
@@ -41,8 +36,6 @@ from repro.solver.budget import (
     DEFAULT_BUDGET,
     DEGRADED_BUDGET,
     SolverBudget,
-    current_budget,
-    use_budget,
 )
 from repro.solver.cache import use_cache
 from repro.symbolic import ConcolicEngine, ConcretizationMode
@@ -204,12 +197,12 @@ class TestFaultPlanFiring:
         assert not resumed.should_fire("kill")  # one-shot: fired once
 
     def test_null_plan_is_default_and_never_fires(self):
-        assert current_fault_plan() is NULL_PLAN
+        assert current().fault_plan is NULL_PLAN
         NULL_PLAN.fire("solver")  # no-op
         plan = FaultPlan.parse("solver:at=1")
-        with use_fault_plan(plan):
-            assert current_fault_plan() is plan
-        assert current_fault_plan() is NULL_PLAN
+        with use_context(fault_plan=plan):
+            assert current().fault_plan is plan
+        assert current().fault_plan is NULL_PLAN
 
 
 class TestCrashContainment:
@@ -288,7 +281,7 @@ class TestCrashContainment:
     def test_injected_interp_fault_becomes_a_crash_record(self):
         plan = FaultPlan.parse("interp:at=2")
         search = chain_search(max_runs=12)
-        with use_cache(None), use_fault_plan(plan):
+        with use_context(cache=None, fault_plan=plan):
             result = search.run(dict(CHAIN_SEED))
         assert plan.fired.get("interp") == 1
         assert any(
@@ -313,14 +306,14 @@ class TestDegradationLadder:
         scaled = DEFAULT_BUDGET.scaled(2.0)
         assert scaled.max_iterations == 2 * DEFAULT_BUDGET.max_iterations
         assert DEGRADED_BUDGET.max_iterations < DEFAULT_BUDGET.max_iterations
-        with use_budget(DEGRADED_BUDGET):
-            assert current_budget() is DEGRADED_BUDGET
-        assert current_budget() is not DEGRADED_BUDGET
+        with use_context(budget=DEGRADED_BUDGET):
+            assert current().budget is DEGRADED_BUDGET
+        assert current().budget is not DEGRADED_BUDGET
 
     def test_solver_exhaustion_walks_the_ladder(self):
         plan = FaultPlan.parse("solver:every=2")
         search = chain_search(max_runs=40)
-        with use_cache(None), use_fault_plan(plan):
+        with use_context(cache=None, fault_plan=plan):
             result = search.run(dict(CHAIN_SEED))
         assert plan.fired.get("solver", 0) > 0
         assert sum(result.downgrades.values()) > 0
@@ -331,7 +324,7 @@ class TestDegradationLadder:
         for _ in range(2):
             plan = FaultPlan.parse("solver:rate=0.5,seed=3")
             search = chain_search(max_runs=40)
-            with use_cache(None), use_fault_plan(plan):
+            with use_context(cache=None, fault_plan=plan):
                 result = search.run(dict(CHAIN_SEED))
             digests.append(suite_digest(result))
         assert digests[0] == digests[1]
@@ -339,7 +332,7 @@ class TestDegradationLadder:
     def test_deferred_flips_are_retried_or_abandoned(self):
         plan = FaultPlan.parse("solver:every=1")
         search = chain_search(max_runs=30)
-        with use_cache(None), use_fault_plan(plan):
+        with use_context(cache=None, fault_plan=plan):
             result = search.run(dict(CHAIN_SEED))
         # with every solver call exhausted, every rung fails: flips are
         # deferred, retried under the escalated budget, and abandoned
@@ -365,7 +358,7 @@ class TestJournalWriteTolerance:
         buf = io.StringIO()
         journal = RunJournal(buf)
         plan = FaultPlan.parse("journal:at=2")
-        with use_registry(registry), use_fault_plan(plan):
+        with use_context(registry=registry, fault_plan=plan):
             assert journal.emit("first") is not None
             assert journal.emit("second") is None  # the injected failure
             assert journal.emit("third") is None  # sink stays disabled
@@ -379,7 +372,7 @@ class TestJournalWriteTolerance:
         plan = FaultPlan.parse("journal:at=3")
         search = chain_search(max_runs=20)
         search.obs = Observability(journal=journal)
-        with use_fault_plan(plan):
+        with use_context(fault_plan=plan):
             result = search.run(dict(CHAIN_SEED))
         journal.close()
         assert journal.enabled is False
@@ -391,7 +384,7 @@ class TestCheckpointWriteTolerance:
         registry = MetricsRegistry()
         plan = FaultPlan.parse("checkpoint:at=1")
         search = chain_search(checkpoint_dir=str(tmp_path / "ckpt"), max_runs=20)
-        with use_registry(registry), use_fault_plan(plan):
+        with use_context(registry=registry, fault_plan=plan):
             result = search.run(dict(CHAIN_SEED))
         assert result.executions, "search completes without its checkpoint"
         assert registry.counter("search.checkpoint.errors").value == 1
@@ -439,14 +432,14 @@ class TestResumeDeterminism:
 
         ckpt = str(tmp_path / "ckpt")
         spec = kill_spec(kill_at, cycles)
-        with use_fault_plan(FaultPlan.parse(spec)):
+        with use_context(fault_plan=FaultPlan.parse(spec)):
             with pytest.raises(SearchInterrupted) as info:
                 chain_search(checkpoint_dir=ckpt).run(dict(CHAIN_SEED))
         assert info.value.checkpoint_dir == ckpt
         assert isinstance(info.value.partial_result, SearchResult)
         for _ in range(cycles - 1):
             # killed again after resuming: a resume of a resume
-            with use_fault_plan(FaultPlan.parse(spec)):
+            with use_context(fault_plan=FaultPlan.parse(spec)):
                 with pytest.raises(SearchInterrupted):
                     chain_search(checkpoint_dir=ckpt, resume_from=ckpt).run(
                         dict(CHAIN_SEED)
@@ -454,7 +447,7 @@ class TestResumeDeterminism:
 
         # resuming under the *same* plan must not re-fire a spent kill:
         # the checkpoint restored its invocation counters
-        with use_fault_plan(FaultPlan.parse(spec)):
+        with use_context(fault_plan=FaultPlan.parse(spec)):
             resumed = chain_search(checkpoint_dir=ckpt, resume_from=ckpt).run(
                 dict(CHAIN_SEED)
             )

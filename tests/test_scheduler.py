@@ -12,12 +12,13 @@ import pytest
 
 from repro import api
 from repro.apps.paper_programs import PAPER_EXAMPLES
+from repro.context import use_context
 from repro.engine.planner import BatchPlanner, CampaignSpec
 from repro.engine.runner import build_natives
 from repro.errors import ReproError, SearchInterrupted
-from repro.faults import FaultPlan, use_fault_plan
+from repro.faults import FaultPlan
 from repro.lang import NativeRegistry, parse_program
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.search import (
     DirectedSearch,
     SearchConfig,
@@ -157,7 +158,7 @@ class TestSchedulerResume:
         # running from a resumed checkpoint
         spec = "kill:at=" + "+".join(str(kill_at + 3 * n) for n in range(cycles))
         for cycle in range(cycles):
-            with use_fault_plan(FaultPlan.parse(spec)):
+            with use_context(fault_plan=FaultPlan.parse(spec)):
                 with pytest.raises(SearchInterrupted):
                     with use_cache(None):
                         chain_search(
@@ -184,7 +185,7 @@ class TestSchedulerResume:
         expected = suite_digest(baseline)
 
         ckpt = str(tmp_path / "ckpt")
-        with use_fault_plan(FaultPlan.parse("kill:at=3")):
+        with use_context(fault_plan=FaultPlan.parse("kill:at=3")):
             with pytest.raises(SearchInterrupted):
                 with use_cache(None):
                     chain_search(scheduler="coverage", checkpoint_dir=ckpt).run(
@@ -192,7 +193,7 @@ class TestSchedulerResume:
                     )
 
         registry = MetricsRegistry()
-        with use_registry(registry), use_cache(None):
+        with use_context(registry=registry, cache=None):
             resumed = chain_search(
                 scheduler="dfs", checkpoint_dir=ckpt, resume_from=ckpt
             ).run(dict(CHAIN_SEED))
@@ -206,7 +207,7 @@ class TestSchedulerFaultSite:
     def test_scheduler_fault_is_contained(self, scheduler):
         plan = FaultPlan.parse("scheduler:at=2")
         registry = MetricsRegistry()
-        with use_registry(registry), use_cache(None), use_fault_plan(plan):
+        with use_context(registry=registry, cache=None, fault_plan=plan):
             result = chain_search(scheduler=scheduler).run(dict(CHAIN_SEED))
         assert plan.fired.get("scheduler") == 1
         assert result.runs > 0
@@ -217,7 +218,7 @@ class TestSchedulerFaultSite:
         digests = []
         for _ in range(2):
             plan = FaultPlan.parse("scheduler:every=2")
-            with use_cache(None), use_fault_plan(plan):
+            with use_context(cache=None, fault_plan=plan):
                 result = chain_search(scheduler="generational").run(
                     dict(CHAIN_SEED)
                 )

@@ -33,12 +33,8 @@ from repro.engine.runner import (
 )
 from repro.engine.planner import BatchPlanner, CampaignSpec, SearchJob
 from repro.errors import DeadlineExceeded, ReproError, SearchInterrupted
-from repro.interrupt import (
-    clear_interrupt,
-    interrupt_requested,
-    request_interrupt,
-    trap_signals,
-)
+from repro.context import current, use_context
+from repro.interrupt import StopRequest, trap_signals
 from repro.search import SearchConfig
 
 
@@ -424,7 +420,7 @@ class TestGracefulShutdown:
         from repro.engine import supervisor as supervisor_mod
 
         def wedge_then_interrupt(job, *args, **kwargs):
-            request_interrupt("SIGTERM")
+            current().stop.request("SIGTERM")
             return JobResult(key=job.key, interrupted=True)
 
         monkeypatch.setattr(supervisor_mod, "run_job", wedge_then_interrupt)
@@ -434,36 +430,29 @@ class TestGracefulShutdown:
         )
         jobs = BatchPlanner().expand(_spec())
         assert len(jobs) > 1  # pooled path, with jobs left to drop
-        clear_interrupt()
-        try:
+        with use_context(stop=StopRequest()):
             with pytest.raises(SearchInterrupted):
                 supervisor_mod.CampaignSupervisor(runner).run(jobs)
-        finally:
-            clear_interrupt()
 
     def test_interrupt_flag_stops_campaign_between_jobs(self, tmp_path):
         ckpt_dir = str(tmp_path / "ckpt")
-        clear_interrupt()
-        request_interrupt("SIGTERM")
-        try:
+        with use_context(stop=StopRequest()) as context:
+            context.stop.request("SIGTERM")
             with pytest.raises(SearchInterrupted) as excinfo:
                 api.Client(workers=1).submit(_spec(), checkpoint=ckpt_dir).wait()
-        finally:
-            clear_interrupt()
         assert "SIGTERM" in str(excinfo.value)
         assert excinfo.value.checkpoint_dir == os.path.abspath(ckpt_dir)
         assert excinfo.value.resume_hint is not None
         assert "--checkpoint" in excinfo.value.resume_hint
 
     def test_trap_signals_maps_sigterm_to_flag(self):
-        clear_interrupt()
         with trap_signals():
             os.kill(os.getpid(), signal.SIGTERM)
             deadline = time.monotonic() + 5.0
-            while not interrupt_requested() and time.monotonic() < deadline:
+            while not current().stop.reason and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert interrupt_requested() == "SIGTERM"
-        assert interrupt_requested() is None  # cleared on exit
+            assert current().stop.reason == "SIGTERM"
+        assert current().stop.reason is None  # cleared on exit
 
     def test_sigterm_campaign_exits_3_and_resume_matches(self, tmp_path):
         spec_path = _write_spec(tmp_path)
@@ -667,15 +656,12 @@ class TestRunInterrupt:
         assert proc.returncode in (0, 3), (proc.stdout, proc.stderr)
 
     def test_interrupt_flag_raises_inside_generate_tests(self):
-        clear_interrupt()
-        request_interrupt("SIGINT")
-        try:
+        with use_context(stop=StopRequest()) as context:
+            context.stop.request("SIGINT")
             with pytest.raises(SearchInterrupted):
                 api.generate_tests(
                     "int main(int x) { if (x > 0) { return 1; } return 0; }",
                 )
-        finally:
-            clear_interrupt()
 
 
 # -- corrupt disk-cache removal (satellite) ----------------------------------
