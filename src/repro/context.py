@@ -34,6 +34,7 @@ from typing import Iterator, Optional, Union
 
 # the modules that own the defaults are imported here, so they reach the
 # context only through imports deferred into the functions that need it
+# (or, in obs.journal, one placed below the default it exports)
 from .faults import NULL_PLAN, FaultPlan, NullFaultPlan
 from .interrupt import StopRequest
 from .obs.journal import NULL_JOURNAL, NullJournal, RunJournal

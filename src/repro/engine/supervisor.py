@@ -11,9 +11,9 @@ recovery ladder, cheapest reclaim first:
    (see :meth:`repro.search.kernel.SearchKernel._check_deadline`);
 2. **watchdog** — the parent reclaims a non-cooperative worker: it tails
    the telemetry shards' ``run_executed`` heartbeats and declares a job
-   *stalled* after ``stall_timeout`` seconds of silence, plus a
-   defensive per-future timeout of ``2 × deadline + grace`` for workers
-   wedged past even that;
+   that ships shards *stalled* after ``stall_timeout`` seconds of
+   silence, plus a defensive per-future timeout of ``2 × deadline +
+   grace`` for workers wedged past even that;
 3. **retry** — a deadline-blown/killed/stalled attempt is retried up to
    ``max_attempts`` with deterministic (no-jitter) backoff.  Every
    failed attempt is persisted to the campaign checkpoint's attempt
@@ -55,17 +55,17 @@ Everything is metered (``engine.supervisor.*`` counters) and journaled
 (``job_retried`` / ``job_stalled`` / ``job_quarantined`` /
 ``pool_rebuilt`` events to the current journal).
 
-Besides the one-shot :meth:`CampaignSupervisor.run` batch mode, the
-supervisor has a **lease-driven** mode (:meth:`CampaignSupervisor.serve`)
-for the campaign service (:mod:`repro.service`): instead of a fixed job
-list it pulls :class:`JobLease` objects from a scheduler one at a time as
-fleet slots free up, so one worker fleet serves jobs interleaved from
-many campaigns, each lease carrying its own campaign's checkpoint and
-telemetry directory.  The whole recovery ladder — deadlines, watchdog
-(via a :class:`~repro.obs.shipper.ShardReaderGroup` over every in-flight
-campaign's shards), retry ledger, quarantine, pool rebuilds, graceful
-shutdown — applies unchanged per job; un-run leases are handed back to
-the scheduler on shutdown (:meth:`JobLeaseSource.released`).
+One loop drives every job: :meth:`CampaignSupervisor.serve` pulls
+:class:`JobLease` objects from a :class:`JobLeaseSource` one at a time
+as fleet slots free up, each lease carrying its own campaign's
+checkpoint, telemetry directory and tenant, so one worker fleet serves
+jobs interleaved from many campaigns (the campaign service,
+:mod:`repro.service`).  A batch campaign (:meth:`CampaignSupervisor.run`)
+is the same loop over a source that leases its job list in order.  A
+fleet of one (``workers=1``, or a one-job batch) has no pool: every job
+runs in-process, which is the reference execution.  The whole recovery
+ladder applies per job, and a shutdown hands un-run leases back to their
+source (:meth:`JobLeaseSource.released`).
 """
 
 from __future__ import annotations
@@ -151,11 +151,12 @@ class SupervisorConfig:
 class JobLease:
     """One job granted to the fleet, with its campaign's surroundings.
 
-    The lease is the unit of the supervisor's serve-mode protocol: the
-    scheduler decides *which* job runs next (priority, fair-share,
-    quotas); the lease pins *where its side effects go* — the owning
-    campaign's attempt ledger and telemetry directory — so jobs from
-    different campaigns interleave on one fleet without sharing state.
+    The lease is the unit of the supervisor's dispatch loop: the source
+    decides *which* job runs next (the service's scheduler by priority,
+    fair share and quotas; a batch in job order); the lease pins *where
+    its side effects go* — the owning campaign's attempt ledger and
+    telemetry directory — so jobs from different campaigns interleave
+    on one fleet without sharing state.
     """
 
     job: SearchJob
@@ -170,7 +171,7 @@ class JobLease:
 
 
 class JobLeaseSource:
-    """Protocol for :meth:`CampaignSupervisor.serve` schedulers.
+    """Protocol for :meth:`CampaignSupervisor.serve` lease sources.
 
     A duck-typed base (subclassing is optional): the supervisor only
     calls these four methods.  ``lease`` may raise
@@ -194,6 +195,34 @@ class JobLeaseSource:
     def released(self, job: SearchJob) -> None:
         """A granted lease was abandoned un-run (shutdown); re-queue it."""
         raise NotImplementedError
+
+
+class _JobListSource(JobLeaseSource):
+    """A batch campaign as a lease source: its job list, leased in order.
+
+    Every lease carries the batch's checkpoint and telemetry directory;
+    results are kept by job key (unique within a campaign).
+    """
+
+    def __init__(
+        self, jobs: List[SearchJob], checkpoint, telemetry_dir: Optional[str]
+    ) -> None:
+        self._leases: Deque[JobLease] = deque(
+            JobLease(job, checkpoint, telemetry_dir) for job in jobs
+        )
+        self.results: Dict[str, JobResult] = {}
+
+    def lease(self) -> Optional[JobLease]:
+        return self._leases.popleft() if self._leases else None
+
+    def outstanding(self) -> bool:
+        return bool(self._leases)
+
+    def completed(self, result: JobResult) -> None:
+        self.results[result.key] = result
+
+    def released(self, job: SearchJob) -> None:
+        pass  # a batch is not re-queued: resume re-runs it from the checkpoint
 
 
 class _JobState:
@@ -264,11 +293,11 @@ class _JobState:
 
 
 class CampaignSupervisor:
-    """Drive a batch of jobs to completion under the recovery ladder.
+    """Drive jobs to completion under the recovery ladder.
 
-    Built per :meth:`ProcessPoolRunner.run` call; exposes its tallies
-    (``retries``, ``quarantined_jobs``, ``stalled_jobs``,
-    ``pool_rebuilds``) for the merger to surface.
+    Built per :meth:`ProcessPoolRunner.run` / :meth:`ProcessPoolRunner.serve`
+    call; exposes its tallies (``retries``, ``quarantined_jobs``,
+    ``stalled_jobs``, ``pool_rebuilds``) for the merger to surface.
     """
 
     def __init__(
@@ -288,15 +317,18 @@ class CampaignSupervisor:
         self.stalled_jobs = 0
         #: pools rebuilt after a break or a wedged worker
         self.pool_rebuilds = 0
+        #: jobs in flight at once; 1 means no pool (every job in-process)
+        self._fleet = runner.workers
+        #: run every dispatch in-process: a fleet of one, or a pool
+        #: downgraded after its rebuild budget ran out
         self._serial_only = False
         self._executor = None
-        self._njobs = 0
         self._progress: Optional[Callable[[JobResult], None]] = None
         self._by_key: Dict[str, _JobState] = {}
-        #: jobs settled (finished or quarantined) by a serve() session
+        #: jobs settled (finished or quarantined) by this session
         self._settled = 0
 
-    # -- entry point -------------------------------------------------------
+    # -- entry points ------------------------------------------------------
 
     def run(
         self,
@@ -305,49 +337,15 @@ class CampaignSupervisor:
     ) -> List[JobResult]:
         """Run ``jobs`` to completion; results in the given job order.
 
+        The batch is served as a lease source over the job list, with a
+        fleet no larger than the batch (a one-job batch runs in-process).
         Raises :class:`SearchInterrupted` on a requested shutdown after
         draining; everything finished by then is checkpointed.
         """
         jobs = list(jobs)
-        self._njobs = len(jobs)
-        self._progress = progress
-        # dispatch-time fault decisions, one consultation per job per
-        # site in job order: a pure function of the plan, independent of
-        # pool size and attempt count — the order (worker-proc, then
-        # hang, then pool) is frozen so pre-supervisor fault plans keep
-        # firing on exactly the jobs they used to
-        plan = (
-            FaultPlan.parse(self.runner.fault_spec)
-            if self.runner.fault_spec
-            else current().fault_plan
-        )
-        killed = [plan.should_fire("worker-proc") for _ in jobs]
-        hangs = [plan.should_fire("hang") for _ in jobs]
-        pools = [plan.should_fire("pool") for _ in jobs]
-        states = [
-            _JobState(
-                job,
-                index,
-                killed[index],
-                hangs[index],
-                pools[index],
-                spent=self.checkpoint.attempts(job.key)
-                if self.checkpoint is not None
-                else 0,
-                checkpoint=self.checkpoint,
-                telemetry=self.runner.telemetry_dir,
-            )
-            for index, job in enumerate(jobs)
-        ]
-        self._by_key = {state.job.key: state for state in states}
-        if self.runner.workers == 1 or len(jobs) <= 1:
-            for state in states:
-                self._check_shutdown()
-                self._run_serial(state)
-            return [s.result for s in states if s.result is not None]
-        return self._run_pooled(states)
-
-    # -- lease-driven entry point (the campaign service) -------------------
+        source = _JobListSource(jobs, self.checkpoint, self.runner.telemetry_dir)
+        self._serve(source, progress, min(self.runner.workers, len(jobs)))
+        return [source.results[job.key] for job in jobs if job.key in source.results]
 
     def serve(
         self,
@@ -356,10 +354,9 @@ class CampaignSupervisor:
     ) -> int:
         """Serve leases from ``source`` until it has nothing outstanding.
 
-        The counterpart of :meth:`run` for open-ended work: jobs are
-        pulled one :class:`JobLease` at a time as fleet slots free up
-        (which is what makes priority preemption job-granular — a
-        higher-priority campaign submitted mid-run wins the *next*
+        Jobs are pulled one :class:`JobLease` at a time as fleet slots
+        free up (which is what makes priority preemption job-granular —
+        a higher-priority campaign submitted mid-run wins the *next*
         slot, never an occupied one), each carrying its own campaign's
         checkpoint and telemetry directory.  Finished jobs are handed
         to ``source.completed`` before ``progress``; a shutdown drains
@@ -367,6 +364,19 @@ class CampaignSupervisor:
         ``source.released``, and raises :class:`SearchInterrupted`.
         Returns the number of jobs settled this session.
         """
+        self._serve(source, progress, self.runner.workers)
+        return self._settled
+
+    def _serve(
+        self,
+        source: "JobLeaseSource",
+        progress: Optional[Callable[[JobResult], None]],
+        fleet: int,
+    ) -> None:
+        """The one dispatch loop: retries first, then fresh leases, until
+        the source runs dry; a fleet of one runs every job in-process."""
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from ..obs.shipper import ShardReaderGroup
 
         def _on_result(result: JobResult) -> None:
             source.completed(result)
@@ -375,74 +385,17 @@ class CampaignSupervisor:
 
         self._progress = _on_result
         self._settled = 0
-        # dispatch-time fault decisions are consulted per *lease* in
-        # lease order — the serve-mode analogue of run()'s per-job
-        # consultation (deterministic given a deterministic scheduler)
+        self._fleet = fleet
+        self._serial_only = fleet == 1
+        # dispatch-time fault decisions (worker-proc, hang, pool) are
+        # consulted once per lease in lease order: the plan counts each
+        # site separately, so this fires on the same jobs at any fleet
+        # size and attempt count
         plan = (
             FaultPlan.parse(self.runner.fault_spec)
             if self.runner.fault_spec
             else current().fault_plan
         )
-        # size the pool for the fleet, not for the first lease
-        self._njobs = self.runner.workers
-        if self.runner.workers == 1:
-            self._serve_serial(source, plan)
-        else:
-            self._serve_pooled(source, plan)
-        return self._settled
-
-    def _lease_state(self, source, plan) -> Optional[_JobState]:
-        """Pull one lease and wrap it in supervision bookkeeping."""
-        lease = source.lease()
-        if lease is None:
-            return None
-        job = lease.job
-        checkpoint = lease.checkpoint
-        state = _JobState(
-            job,
-            len(self._by_key),
-            plan.should_fire("worker-proc"),
-            plan.should_fire("hang"),
-            plan.should_fire("pool"),
-            spent=checkpoint.attempts(job.key) if checkpoint is not None else 0,
-            checkpoint=checkpoint,
-            telemetry=lease.telemetry_dir,
-            tenant=lease.tenant,
-        )
-        # heartbeat routing for the watchdog; the scheduler guarantees a
-        # key is leased by at most one campaign at a time, so the map is
-        # unambiguous (entries are dropped again once the job settles)
-        self._by_key[job.key] = state
-        return state
-
-    def _settle_hook(self, state: _JobState) -> None:
-        """Bookkeeping common to finish and quarantine: the job no
-        longer needs heartbeat routing, and serve sessions count it."""
-        self._by_key.pop(state.job.key, None)
-        self._settled += 1
-
-    def _serve_serial(self, source, plan) -> None:
-        while True:
-            self._check_shutdown()
-            state = self._lease_state(source, plan)
-            if state is None:
-                if not source.outstanding():
-                    return
-                time.sleep(self.config.poll_interval)
-                continue
-            try:
-                self._run_serial(state)
-            except SearchInterrupted:
-                if state.result is None:
-                    source.released(state.job)
-                raise
-
-    def _serve_pooled(self, source, plan) -> None:
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from ..obs.shipper import ShardReaderGroup
-        from .runner import _ensure_importable_by_children
-
-        _ensure_importable_by_children()
         cfg = self.config
         queue: Deque[_JobState] = deque()  # retries only; fresh work is leased
         inflight: Dict[object, _JobState] = {}
@@ -450,13 +403,15 @@ class CampaignSupervisor:
         reader = ShardReaderGroup() if cfg.stall_timeout > 0 else None
         try:
             while True:
+                # every exit from this loop passes through this check: a
+                # shutdown flagged anywhere — including by an in-process
+                # dispatch or a collected shutdown artifact — raises here
+                # instead of falling out with jobs silently dropped
                 if current().stop.reason:
-                    self._shutdown_serve(source, queue, deferred, inflight)
+                    self._shutdown(source, queue, deferred, inflight)
                 # top up the fleet: internal retries first, then fresh
-                # leases, until every worker slot is claimed
-                while len(inflight) < self.runner.workers and (
-                    not current().stop.reason
-                ):
+                # leases, until every slot is claimed
+                while len(inflight) < fleet and not current().stop.reason:
                     if queue:
                         state = queue.popleft()
                     else:
@@ -464,13 +419,17 @@ class CampaignSupervisor:
                         if state is None:
                             break
                     if (state.inprocess or self._serial_only) and inflight:
+                        # an in-process job runs synchronously right
+                        # here, suspending heartbeat/timeout supervision
+                        # of everything already in flight: hold it until
+                        # the pool is idle
                         deferred.append(state)
                         continue
                     self._dispatch(state, queue, inflight)
                 queue.extend(deferred)
                 deferred.clear()
                 if current().stop.reason:
-                    self._shutdown_serve(source, queue, deferred, inflight)
+                    self._shutdown(source, queue, deferred, inflight)
                 if reader is not None:
                     for state in inflight.values():
                         reader.watch(state.telemetry)
@@ -490,136 +449,6 @@ class CampaignSupervisor:
                 for future in done:
                     state = inflight.pop(future, None)
                     if state is None:
-                        continue
-                    if self._collect(state, future, queue, inflight):
-                        pool_broke = True
-                        break
-                if inflight and not pool_broke:
-                    self._watch(inflight, queue, reader)
-        finally:
-            self._teardown_pool()
-
-    def _shutdown_serve(
-        self,
-        source,
-        queue: Deque[_JobState],
-        deferred: List[_JobState],
-        inflight: Dict[object, _JobState],
-    ) -> None:
-        """Drain, hand un-run leases back to the scheduler, raise."""
-        pending = list(queue) + list(deferred) + list(inflight.values())
-        self._drain(inflight)
-        for state in pending:
-            if state.result is None:
-                source.released(state.job)
-        self._raise_shutdown()
-
-    # -- serial path (workers=1: the reference execution) ------------------
-
-    def _run_serial(self, state: _JobState) -> None:
-        cfg = self.config
-        while state.result is None:
-            self._check_shutdown()
-            if state.attempts >= cfg.max_attempts:
-                self._quarantine(state)
-                return
-            attempt = state.attempts + 1
-            if state.pool:
-                # injected pool break: the attempt dies with the pool
-                # (no pool exists at workers=1; the attempt is spent,
-                # the rebuild path is exercised in the pooled mode)
-                state.pool = False
-                self._fail_attempt(
-                    state, attempt, "pool", "injected pool break (fault plan)"
-                )
-                continue
-            hang = state.hang
-            state.hang = False
-            if hang and state.killed:
-                hang = False  # the worker "died"; its hang is moot
-            if hang and not self._hang_reclaimable(state, pooled=False):
-                # nothing is armed to reclaim a wedged in-process search
-                # (no deadline, no watchdog): spending the attempt without
-                # wedging the whole campaign is the only sane move
-                self._fail_attempt(
-                    state,
-                    attempt,
-                    "hang",
-                    "injected hang with no deadline or watchdog to reclaim it",
-                )
-                continue
-            self._count_legacy_kill(state)
-            self._backoff(attempt)
-            result = run_job(
-                state.job,
-                self.runner.cache_dir,
-                self.runner.fault_spec,
-                state.telemetry,
-                hang=hang,
-                store_dir=self.runner.store_dir,
-                seed_from_store=self.runner.seed_from_store,
-                store_tenant=state.tenant,
-            )
-            if result.interrupted and current().stop.reason:
-                # the salvaged partial is a shutdown artifact, not a
-                # result; resume re-runs this job from scratch
-                self._raise_shutdown()
-            self._settle(state, attempt, result)
-
-    # -- pooled path -------------------------------------------------------
-
-    def _run_pooled(self, states: List[_JobState]) -> List[JobResult]:
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from .runner import _ensure_importable_by_children
-
-        _ensure_importable_by_children()
-        cfg = self.config
-        queue: Deque[_JobState] = deque(states)
-        inflight: Dict[object, _JobState] = {}
-        reader = None
-        if cfg.stall_timeout > 0 and self.runner.telemetry_dir:
-            from ..obs.shipper import ShardReader
-
-            reader = ShardReader(self.runner.telemetry_dir)
-        deferred: List[_JobState] = []
-        try:
-            while True:
-                # every exit from this loop passes through this check:
-                # a shutdown flagged anywhere — including by an
-                # in-process dispatch or a collected shutdown artifact
-                # that emptied the queue — raises here instead of
-                # falling out with jobs silently dropped
-                if current().stop.reason:
-                    self._drain(inflight)
-                    self._raise_shutdown()
-                if not queue and not inflight:
-                    break
-                while queue and not current().stop.reason:
-                    state = queue.popleft()
-                    if (state.inprocess or self._serial_only) and inflight:
-                        # an in-process job runs synchronously right
-                        # here, suspending heartbeat/timeout supervision
-                        # of everything already in flight: hold it until
-                        # the pool is idle
-                        deferred.append(state)
-                        continue
-                    self._dispatch(state, queue, inflight)
-                queue.extend(deferred)
-                deferred.clear()
-                if current().stop.reason:
-                    self._drain(inflight)
-                    self._raise_shutdown()
-                if not inflight:
-                    continue
-                done, _ = wait(
-                    list(inflight),
-                    timeout=cfg.poll_interval,
-                    return_when=FIRST_COMPLETED,
-                )
-                pool_broke = False
-                for future in done:
-                    state = inflight.pop(future, None)
-                    if state is None:
                         continue  # already reassigned by a pool rebuild
                     if self._collect(state, future, queue, inflight):
                         pool_broke = True
@@ -628,7 +457,51 @@ class CampaignSupervisor:
                     self._watch(inflight, queue, reader)
         finally:
             self._teardown_pool()
-        return [s.result for s in states if s.result is not None]
+
+    def _lease_state(self, source, plan) -> Optional[_JobState]:
+        """Pull one lease and wrap it in supervision bookkeeping."""
+        lease = source.lease()
+        if lease is None:
+            return None
+        job = lease.job
+        checkpoint = lease.checkpoint
+        state = _JobState(
+            job,
+            len(self._by_key),
+            plan.should_fire("worker-proc"),
+            plan.should_fire("hang"),
+            plan.should_fire("pool"),
+            spent=checkpoint.attempts(job.key) if checkpoint is not None else 0,
+            checkpoint=checkpoint,
+            telemetry=lease.telemetry_dir,
+            tenant=lease.tenant,
+        )
+        # heartbeat routing for the watchdog; a key is leased by at most
+        # one campaign at a time, so the map is unambiguous (entries are
+        # dropped again once the job settles)
+        self._by_key[job.key] = state
+        return state
+
+    def _settle_hook(self, state: _JobState) -> None:
+        """Bookkeeping common to finish and quarantine: the job no
+        longer needs heartbeat routing, and the session counts it."""
+        self._by_key.pop(state.job.key, None)
+        self._settled += 1
+
+    def _shutdown(
+        self,
+        source,
+        queue: Deque[_JobState],
+        deferred: List[_JobState],
+        inflight: Dict[object, _JobState],
+    ) -> None:
+        """Drain, hand un-run leases back to the source, raise."""
+        pending = list(queue) + list(deferred) + list(inflight.values())
+        self._drain(inflight)
+        for state in pending:
+            if state.result is None:
+                source.released(state.job)
+        self._raise_shutdown()
 
     def _dispatch(
         self,
@@ -662,7 +535,10 @@ class CampaignSupervisor:
         state.hang = False
         if hang and state.killed:
             hang = False
-        if hang and not self._hang_reclaimable(state, pooled=True):
+        if hang and not self._hang_reclaimable(state):
+            # nothing is armed to reclaim the wedge (no deadline, and no
+            # watchdog over a pooled job with heartbeats): spend the
+            # attempt rather than hang the whole campaign
             self._fail_attempt(
                 state,
                 attempt,
@@ -677,8 +553,9 @@ class CampaignSupervisor:
             self._ensure_executor()
         )
         if executor is None:
-            # worker-proc containment / post-kill retry / downgraded
-            # pool: run in the parent, which guarantees completion
+            # a fleet of one / worker-proc containment / post-kill
+            # retry / downgraded pool: run in the parent, which
+            # guarantees completion
             if hang and cfg.job_deadline <= 0:
                 # in the parent only the deadline can reclaim a wedge
                 # (the watchdog cannot kill its own process); spend the
@@ -702,8 +579,9 @@ class CampaignSupervisor:
                 store_tenant=state.tenant,
             )
             if result.interrupted and current().stop.reason:
-                # shutdown artifact: the dispatch loop stops on the
-                # flag and the pooled loop's post-dispatch check raises
+                # shutdown artifact: the job stays un-run (resume re-runs
+                # it) and the loop's post-dispatch check raises
+                queue.append(state)
                 return
             self._settle(state, attempt, result, queue)
             return
@@ -767,9 +645,10 @@ class CampaignSupervisor:
             queue.append(state)
             return False
         if result.interrupted and current().stop.reason:
-            # shutdown artifact: not settled, and the pooled loop's
+            # shutdown artifact: not settled, and the loop's
             # top-of-iteration check raises even when this was the last
             # in-flight future
+            queue.append(state)
             return False
         self._settle(state, attempt, result, queue)
         return False
@@ -791,7 +670,9 @@ class CampaignSupervisor:
         wedged = []
         for future, state in inflight.items():
             silent_for = now - max(state.dispatched_at, state.last_seen)
-            if reader is not None and silent_for > cfg.stall_timeout > 0:
+            # only a job that ships heartbeats can fall silent
+            stalled = reader is not None and state.telemetry
+            if stalled and silent_for > cfg.stall_timeout:
                 wedged.append((future, state, "stalled"))
             elif state.limit_at is not None and now > state.limit_at:
                 wedged.append((future, state, "timeout"))
@@ -835,9 +716,11 @@ class CampaignSupervisor:
         if self._executor is None:
             from concurrent.futures import ProcessPoolExecutor
             import multiprocessing as mp
+            from .runner import _ensure_importable_by_children
 
+            _ensure_importable_by_children()
             self._executor = ProcessPoolExecutor(
-                max_workers=min(self.runner.workers, max(1, self._njobs)),
+                max_workers=self._fleet,
                 mp_context=mp.get_context("spawn"),
             )
         return self._executor
@@ -995,10 +878,6 @@ class CampaignSupervisor:
 
     # -- shutdown ----------------------------------------------------------
 
-    def _check_shutdown(self) -> None:
-        if current().stop.reason:
-            self._raise_shutdown()
-
     def _raise_shutdown(self) -> None:
         reason = current().stop.reason or "signal"
         self._count("engine.supervisor.shutdowns")
@@ -1037,12 +916,14 @@ class CampaignSupervisor:
 
     # -- small helpers -----------------------------------------------------
 
-    def _hang_reclaimable(self, state: _JobState, pooled: bool) -> bool:
+    def _hang_reclaimable(self, state: _JobState) -> bool:
         """Can *anything* reclaim a wedged search for this dispatch?"""
         cfg = self.config
         if cfg.job_deadline > 0:
             return True  # the kernel reclaims itself at the deadline
-        return bool(pooled and cfg.stall_timeout > 0 and state.telemetry)
+        # the watchdog only guards a fleet with a pool, and only jobs
+        # that ship heartbeats
+        return bool(self._fleet > 1 and cfg.stall_timeout > 0 and state.telemetry)
 
     def _count_legacy_kill(self, state: _JobState) -> None:
         """The dispatch-time ``worker-proc`` kill, counted once per job."""

@@ -100,10 +100,7 @@ class RunJournal:
             }
             event.update(fields)
             try:
-                # deferred: the run context imports this module
-                from ..context import current
-
-                current().fault_plan.fire("journal")
+                context.current().fault_plan.fire("journal")
                 self._handle.write(_ENCODE(event) + "\n")
                 if self._autoflush and self._seq % self._flush_every == 0:
                     self._handle.flush()
@@ -117,9 +114,7 @@ class RunJournal:
         """Stop writing after the first failed write; the search goes on."""
         self.enabled = False  # instance attribute shadows the class default
         self.write_error: Optional[str] = str(exc)
-        from ..context import current
-
-        registry = current().registry
+        registry = context.current().registry
         if registry.enabled:
             registry.counter("obs.journal.write_errors").inc()
 
@@ -170,3 +165,7 @@ class NullJournal:
 
 #: the disabled journal (the run context's default)
 NULL_JOURNAL = NullJournal()
+
+# imported last: repro.context imports NULL_JOURNAL from this module, so
+# the cycle resolves whichever of the two is imported first
+from .. import context  # noqa: E402

@@ -57,9 +57,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from time import perf_counter
 
-from ..context import current, use_context
+from ..context import current
 from ..errors import ResourceLimitError, SolverError, StrategyError
-from .budget import SolverBudget
 from .evalmodel import evaluate
 from .session import SolverSession
 from .smt import CheckResult, Model, Solver
@@ -264,11 +263,10 @@ class ValidityChecker:
     use_antecedent:
         When False, samples are ignored in verification — reproducing the
         paper's Example 4 contrast (validity *requires* the antecedent).
-    budget:
-        Optional :class:`~repro.solver.budget.SolverBudget` scoped over
-        every solver query this check spawns; None inherits the ambient
-        budget.  The directed search's degradation ladder re-runs deferred
-        flips through here with escalated budgets.
+
+    Every solver query a check spawns runs under the run context's
+    ``budget`` slot; the directed search's degradation ladder escalates
+    it for deferred flips with ``use_context(budget=...)``.
     """
 
     def __init__(
@@ -277,12 +275,10 @@ class ValidityChecker:
         max_candidates: int = 24,
         use_antecedent: bool = True,
         enable_offsets: bool = True,
-        budget: Optional[SolverBudget] = None,
     ) -> None:
         self.tm = manager
         self.max_candidates = max_candidates
         self.use_antecedent = use_antecedent
-        self.budget = budget
         #: allow offset strategies (``x := h(c) + k``); disabling them
         #: recreates the expressiveness of the paper's literal §7 prototype
         #: (ablation: disequality branches become uncoverable)
@@ -311,9 +307,9 @@ class ValidityChecker:
         registry = context.registry
         journal = context.journal
         if not registry.enabled and not journal.enabled:
-            return self._check_budgeted(pc, input_vars, samples, defaults)
+            return self._check(pc, input_vars, samples, defaults)
         start = perf_counter()
-        result = self._check_budgeted(pc, input_vars, samples, defaults)
+        result = self._check(pc, input_vars, samples, defaults)
         elapsed = perf_counter() - start
         registry.counter("validity.checks").inc()
         registry.counter(f"validity.{result.status.value}").inc()
@@ -328,18 +324,6 @@ class ValidityChecker:
             seconds=round(elapsed, 6),
         )
         return result
-
-    def _check_budgeted(
-        self,
-        pc: Term,
-        input_vars: Sequence[Term],
-        samples: Sequence[Sample] = (),
-        defaults: Optional[Dict[str, int]] = None,
-    ) -> ValidityResult:
-        if self.budget is None:
-            return self._check(pc, input_vars, samples, defaults)
-        with use_context(budget=self.budget):
-            return self._check(pc, input_vars, samples, defaults)
 
     def _check(
         self,

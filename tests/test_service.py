@@ -293,6 +293,35 @@ class TestServiceEndToEnd:
         _serve_until_idle(str(tmp_path / "state"))
         assert handle.result().campaign_digest == baseline.campaign_digest
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_and_served_agree_under_dispatch_faults(self, tmp_path, workers):
+        # batch and serve share one dispatch loop: the same hang and pool
+        # break must fire on the same jobs, be recovered with the same
+        # attempt counts, and leave the fault-free answer in both modes
+        spec = _spec()
+        faults = "hang:at=2;pool:at=1"
+        clean = api.Client().submit(spec).wait()
+        batch = api.Client(
+            workers=workers, fault_plan=faults, job_deadline=1.0, max_attempts=2
+        ).submit(spec).wait()
+        state_dir = str(tmp_path / "state")
+        handle = ServiceClient(state_dir).submit(spec, job_deadline=1.0)
+        _serve_until_idle(
+            state_dir,
+            workers=workers,
+            fault_plan=faults,
+            job_deadline=1.0,
+            max_attempts=2,
+        )
+        served = handle.result()
+        assert batch.campaign_digest == clean.campaign_digest
+        assert served.campaign_digest == clean.campaign_digest
+        assert {j.key: j.attempts for j in served.jobs} == {
+            j.key: j.attempts for j in batch.jobs
+        }
+        assert sorted(j.attempts for j in batch.jobs) == [2, 2]
+        assert not batch.quarantined_jobs and not served.quarantined_jobs
+
 
 # -- the Client / CampaignHandle object model --------------------------------
 

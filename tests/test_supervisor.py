@@ -364,6 +364,43 @@ class TestWatchdog:
         stalled = [j for j in report.jobs if j.stalled]
         assert len(stalled) == 1 and stalled[0].ok
 
+    def test_watchdog_ignores_jobs_without_telemetry(self):
+        # a lease with no telemetry dir ships no heartbeats: its silence
+        # says nothing, so the watchdog must not shoot its worker even
+        # when the job outlives the stall timeout
+        from repro.engine.supervisor import JobLease, JobLeaseSource
+
+        class _Leases(JobLeaseSource):
+            def __init__(self, jobs):
+                self.pending = list(jobs)
+                self.results = []
+
+            def lease(self):
+                return JobLease(self.pending.pop(0)) if self.pending else None
+
+            def outstanding(self):
+                return bool(self.pending)
+
+            def completed(self, result):
+                self.results.append(result)
+
+            def released(self, job):
+                self.pending.append(job)
+
+        stall = 0.2
+        runner = ProcessPoolRunner(
+            workers=2,
+            supervisor=SupervisorConfig(stall_timeout=stall, poll_interval=0.05),
+        )
+        source = _Leases([_job()])
+        start = time.monotonic()
+        assert runner.serve(source) == 1
+        assert time.monotonic() - start > stall  # the job outlived the timeout
+        (result,) = source.results
+        assert result.ok and not result.stalled and result.attempts == 1
+        assert runner.last_supervisor.stalled_jobs == 0
+        assert runner.last_supervisor.pool_rebuilds == 0
+
 
 # -- graceful shutdown and crash resume --------------------------------------
 
